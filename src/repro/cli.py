@@ -73,6 +73,7 @@ from .backends import get_backend, list_backends
 from .core.errors import ConfigurationError, ReproError
 from .experiments import EXPERIMENTS, list_experiments, run_experiment
 from .gpu import get_gpu, list_gpus
+from .workloads.base import EXECUTOR_MODES
 
 __all__ = ["main", "build_parser", "accepts_option"]
 
@@ -130,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     b_p.add_argument("--no-verify", action="store_true",
                      help="skip functional verification")
     b_p.add_argument("--executor", default="auto",
-                     choices=["auto", "vectorized", "sequential",
-                              "cooperative", "lowered"],
+                     choices=EXECUTOR_MODES,
                      help="functional-simulator mode for verification "
                           "launches (default auto: lockstep vectorized for "
                           "vector-safe kernels; lowered: NumPy-codegen "
@@ -212,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw_p.add_argument("--no-verify", action="store_true",
                       help="skip functional verification")
     sw_p.add_argument("--executor", default="auto",
-                      choices=["auto", "vectorized", "sequential",
-                               "cooperative", "lowered"],
+                      choices=EXECUTOR_MODES,
                       help="functional-simulator mode (default auto)")
     sw_p.add_argument("--workers", type=int, default=1, metavar="N",
                       help="thread-pool width (default 1: sequential)")
@@ -361,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--param", action="append", default=[], metavar="K=V",
                       help="workload parameter override (repeatable)")
     tr_p.add_argument("--executor", default="auto",
-                      choices=["auto", "vectorized", "sequential",
-                               "cooperative", "lowered"],
+                      choices=EXECUTOR_MODES,
                       help="functional-simulator mode for verification "
                            "launches (default auto)")
     tr_p.add_argument("--optimize", default="none", metavar="PASSES",

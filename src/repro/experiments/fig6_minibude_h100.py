@@ -14,7 +14,8 @@ from ..harness.compare import ordering_comparison, qualitative_comparison
 from ..harness.paper_data import FIGURE_EXPECTATIONS
 from ..harness.plotting import Series, series_to_csv
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.minibude import DEFAULT_PPWI_SWEEP, run_minibude
+from ..kernels.minibude import DEFAULT_PPWI_SWEEP
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "fig6"
 DESCRIPTION = "miniBUDE GFLOP/s on NVIDIA H100: Mojo vs CUDA (± fast-math)"
@@ -41,6 +42,7 @@ def run(*, quick: bool = True, verify: bool = False,
     ppwis = (1, 2, 4, 8, 32, 128) if quick else DEFAULT_PPWI_SWEEP
     wgsizes = (8, 64)
 
+    workload = get_workload("minibude")
     gflops: Dict[tuple, float] = {}
     for wg in wgsizes:
         table = ResultTable(
@@ -51,12 +53,12 @@ def run(*, quick: bool = True, verify: bool = False,
         for ppwi in ppwis:
             row = {"ppwi": ppwi}
             for s, (name, backend, fast_math) in zip(series, _variants(baseline)):
-                res = run_minibude(ppwi=ppwi, wgsize=wg, backend=backend,
-                                   gpu=gpu, fast_math=fast_math, verify=verify)
+                res = workload.run(workload.make_request(
+                    gpu=gpu, backend=backend, fast_math=fast_math,
+                    verify=verify, params={"ppwi": ppwi, "wgsize": wg}))
                 verify = False  # only verify once per experiment
-                gflops[(name, ppwi, wg)] = res.gflops
-                row[name] = res.gflops
-                s.add(ppwi, res.gflops)
+                gflops[(name, ppwi, wg)] = row[name] = res.primary_value
+                s.add(ppwi, res.primary_value)
             table.add_row(**row)
         result.add_table(table)
         result.extra_text.append(series_to_csv(series, x_label="ppwi"))

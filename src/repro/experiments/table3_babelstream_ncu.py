@@ -10,11 +10,10 @@ registers.
 from __future__ import annotations
 
 from ..backends import get_backend
-from ..core.kernel import LaunchConfig
 from ..harness.compare import qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE3_BABELSTREAM_NCU
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.babelstream import BabelStreamBenchmark, babelstream_kernel_model
+from ..kernels.babelstream import babelstream_model_and_launch
 from ..profiling.ncu import NcuReport
 
 EXPERIMENT_ID = "table3"
@@ -36,11 +35,10 @@ def run(*, gpu: str = "h100", n: int = 2 ** 25, quick: bool = True) -> Experimen
 
     counters = {}
     for backend in ("mojo", "cuda"):
-        bench = BabelStreamBenchmark(n=n, precision="float64", backend=backend,
-                                     gpu=gpu, num_times=3)
         for op in OPERATIONS:
-            launch = bench.launch_for(op)
-            model = bench.model_for(op)
+            model, launch = babelstream_model_and_launch(
+                op, n=n, precision="float64", tb_size=1024, backend=backend,
+                gpu=gpu)
             run_ = get_backend(backend).time(model, gpu, launch)
             c = report.add_run(f"{op}/{backend}", run_)
             counters[(op, backend)] = c

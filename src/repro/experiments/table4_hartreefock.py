@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from ..harness.compare import ordering_comparison, qualitative_comparison, ratio_comparison
 from ..harness.paper_data import TABLE4_HARTREE_FOCK_MS, TEXT_RATIOS
 from ..harness.results import ExperimentResult, ResultTable
-from ..kernels.hartreefock import run_hartreefock
+from ..workloads import get_workload
 
 EXPERIMENT_ID = "table4"
 DESCRIPTION = "Hartree-Fock kernel wall-clock times: Mojo vs CUDA and HIP"
@@ -34,17 +34,20 @@ def run(*, quick: bool = True, verify: bool = False) -> ExperimentResult:
         title="Kernel execution duration (ms)",
     )
 
+    workload = get_workload("hartreefock")
     measured: Dict[Tuple[int, int, str, str], float] = {}
     for natoms, ngauss in rows:
         values = {}
         surviving = None
         for gpu, backend in COLUMNS:
-            res = run_hartreefock(natoms=natoms, ngauss=ngauss, backend=backend,
-                                  gpu=gpu, verify=verify)
+            res = workload.run(workload.make_request(
+                gpu=gpu, backend=backend, verify=verify,
+                params={"natoms": natoms, "ngauss": ngauss}))
             verify = False
-            measured[(natoms, ngauss, gpu, backend)] = res.kernel_time_ms
-            values[f"{gpu}_{backend}_ms"] = res.kernel_time_ms
-            surviving = res.surviving_fraction
+            kernel_ms = res.metrics["kernel_time_ms"]
+            measured[(natoms, ngauss, gpu, backend)] = kernel_ms
+            values[f"{gpu}_{backend}_ms"] = kernel_ms
+            surviving = res.metrics["surviving_fraction"]
         table.add_row(natoms=natoms, ngauss=ngauss,
                       surviving_fraction=surviving, **values)
     result.add_table(table)

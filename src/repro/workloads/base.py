@@ -297,8 +297,6 @@ class WorkloadResult:
     GFLOP/s for miniBUDE, kernel time for Hartree–Fock).  ``timing`` maps a
     kernel label (``"kernel"`` for single-kernel workloads, the operation
     name for BabelStream) to its :class:`~repro.gpu.timing.TimingBreakdown`.
-    ``raw`` keeps the legacy per-kernel result object for callers migrating
-    off the old ``run_*`` surface.
     """
 
     request: RunRequest
@@ -308,7 +306,6 @@ class WorkloadResult:
     timing: Dict[str, object] = field(default_factory=dict)
     samples: Dict[str, List[float]] = field(default_factory=dict)
     provenance: Dict[str, object] = field(default_factory=dict)
-    raw: object = None
 
     @property
     def workload(self) -> str:
@@ -463,10 +460,11 @@ class Workload:
                               sink: Mapping[str, object]) -> Dict[str, object]:
         """Attach the verification pipeline breakdown captured in *sink*.
 
-        Adapters pass a ``pipeline_sink`` dict into their bench engine; when
-        verification ran, it holds the device context's overlap-aware
-        :class:`~repro.core.device.PipelineTiming` under ``"pipeline"``,
-        exported uniformly as the ``"verify_pipeline"`` timing entry.
+        Adapters pass a ``pipeline_sink`` dict into their functional
+        verification; when verification ran, it holds the device context's
+        overlap-aware :class:`~repro.core.device.PipelineTiming` under
+        ``"pipeline"``, exported uniformly as the ``"verify_pipeline"``
+        timing entry.
         """
         pipeline = sink.get("pipeline")
         if pipeline is not None:
@@ -591,15 +589,35 @@ class Workload:
         return dict(cached)
 
     @staticmethod
-    def _compute_counter_metrics(request: RunRequest, model,
-                                 launch) -> Dict[str, float]:
+    def _jittered_samples(rng, value: float, jitter: float,
+                          count: int) -> List[float]:
+        """*count* seeded measurement samples of *value*.
+
+        Each sample is *value* scaled by ``1 + N(0, jitter)``, floored at
+        half of *value*; *rng* is a :class:`numpy.random.Generator`.
+        """
+        return [value * max(1.0 + rng.normal(0.0, jitter), 0.5)
+                for _ in range(count)]
+
+    @staticmethod
+    def _time(request: RunRequest, model, launch):
+        """Time *model* at *launch* on the request's backend, GPU and math.
+
+        Returns the backend's :class:`~repro.backends.base.BackendRun`.
+        """
         from ..backends import get_backend
         from ..gpu.specs import get_gpu
-        from ..profiling.counters import collect_counters
 
-        run = get_backend(request.backend).time(
+        return get_backend(request.backend).time(
             model, get_gpu(request.gpu), launch,
             fast_math=request.fast_math)
+
+    @classmethod
+    def _compute_counter_metrics(cls, request: RunRequest, model,
+                                 launch) -> Dict[str, float]:
+        from ..profiling.counters import collect_counters
+
+        run = cls._time(request, model, launch)
         flat: Dict[str, float] = {}
         for key, value in collect_counters(run).as_dict().items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -16,8 +16,8 @@ Two layers, mirroring the memoised compile pipeline
   keyed by a digest of the request's canonical JSON — survives process
   boundaries, which makes repeated CLI ``bench`` invocations near-free.
   Disk hits are rehydrated into a :class:`WorkloadResult` whose ``timing``
-  entries are the plain exported dicts and whose ``raw`` legacy payload is
-  ``None`` (both are documented as export-shaped for cached results).
+  entries are the plain exported dicts (documented as export-shaped for
+  cached results).
 
 ``result_cache_info()`` / ``clear_result_cache()`` expose the default
 cache's statistics, mirroring ``compile_cache_info`` / ``clear_compile_cache``.
@@ -220,8 +220,8 @@ def _clone(result: WorkloadResult) -> WorkloadResult:
 
     Top-level containers (metrics, timing, samples, provenance) are fresh
     dicts/lists so caller-side mutation cannot poison the cache; the request,
-    verification, timing breakdown objects and legacy ``raw`` payload are
-    shared (frozen or treated as read-only).
+    verification and timing breakdown objects are shared (frozen or treated
+    as read-only).
     """
     out = copy.copy(result)
     out.metrics = dict(result.metrics)
@@ -234,8 +234,8 @@ def _clone(result: WorkloadResult) -> WorkloadResult:
 def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
     """Rehydrate a :class:`WorkloadResult` from its ``as_dict()`` export.
 
-    ``timing`` values stay as the exported dicts and ``raw`` is ``None`` —
-    the export schema is the contract for cached results.
+    ``timing`` values stay as the exported dicts — the export schema is the
+    contract for cached results.
     """
     v = payload.get("verification", {})
     return WorkloadResult(
@@ -251,7 +251,6 @@ def _result_from_export(request: RunRequest, payload: Dict) -> WorkloadResult:
         timing=dict(payload.get("timing", {})),
         samples={k: list(s) for k, s in payload.get("samples", {}).items()},
         provenance=dict(payload.get("provenance", {})),
-        raw=None,
     )
 
 

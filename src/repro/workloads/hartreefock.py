@@ -1,15 +1,16 @@
-"""Unified-API adapter for the Hartree–Fock workload.
+"""Workload adapter for the Hartree–Fock Fock build (Table 4).
 
-The benchmark engine (:func:`bench_hartreefock`) lives here; the legacy
-:func:`repro.kernels.hartreefock.runner.run_hartreefock` is a thin shim.
+A run checks the device kernel functionally on a reduced system, then
+screens the requested helium chain with its Schwarz bounds: the surviving
+quadruple fraction drives the per-thread resource model, and the backend
+model times the kernel.  No ERI is evaluated for the timing.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
-from ..backends import get_backend
-from ..gpu.specs import get_gpu
+from ..core.kernel import LaunchConfig
 from ..kernels.hartreefock.basis import make_helium_system
 from ..kernels.hartreefock.kernel import (
     SCHWARZ_TOLERANCE,
@@ -19,74 +20,31 @@ from ..kernels.hartreefock.reference import fock_quadruple_reference
 from ..kernels.hartreefock.runner import (
     APPROX_SCHWARZ_NATOMS,
     DEFAULT_BLOCK_SIZE,
-    HartreeFockResult,
     compute_schwarz,
     run_hartreefock_functional,
     surviving_quadruple_fraction,
 )
-from ..core.kernel import LaunchConfig
 from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
 from .provenance import build_provenance
 
-__all__ = ["HartreeFockWorkload", "bench_hartreefock"]
+__all__ = ["HartreeFockWorkload"]
 
 
-def bench_hartreefock(
-    *,
-    natoms: int = 256,
-    ngauss: int = 3,
-    backend: str = "mojo",
-    gpu: str = "h100",
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    spacing: float = 3.0,
-    schwarz_tol: float = SCHWARZ_TOLERANCE,
-    verify: bool = True,
-    verify_natoms: int = 4,
-    fast_math: bool = False,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> HartreeFockResult:
-    """Benchmark one Hartree–Fock configuration (Table 4).
+def _problem_shape(p: Mapping[str, object]):
+    """``(nquads, surviving_fraction)`` of the helium chain *p* describes."""
+    system = make_helium_system(p["natoms"], p["ngauss"], spacing=p["spacing"])
+    schwarz = compute_schwarz(
+        system, approximate=p["natoms"] >= APPROX_SCHWARZ_NATOMS)
+    return (system.nquads,
+            surviving_quadruple_fraction(schwarz, p["schwarz_tol"]))
 
-    The surviving-quadruple fraction is computed from the system's actual
-    Schwarz bounds and drives the per-thread resource model; timing comes
-    from the backend model; functional verification runs a reduced system
-    through the simulator.
-    """
-    spec = get_gpu(gpu)
-    be = get_backend(backend)
 
-    verified = False
-    max_rel_error = float("nan")
-    if verify:
-        _, max_rel_error = run_hartreefock_functional(
-            verify_natoms, ngauss, gpu=gpu, executor=executor,
-            streams=streams, pipeline_sink=pipeline_sink)
-        verified = True
-
-    system = make_helium_system(natoms, ngauss, spacing=spacing)
-    approximate = natoms >= APPROX_SCHWARZ_NATOMS
-    schwarz = compute_schwarz(system, approximate=approximate)
-    survivors = surviving_quadruple_fraction(schwarz, schwarz_tol)
-
-    model = hartree_fock_kernel_model(natoms=natoms, ngauss=ngauss,
+def _model_and_launch(p: Mapping[str, object], nquads: int,
+                      survivors: float):
+    """ERI kernel model and launch for *p* with the given problem shape."""
+    model = hartree_fock_kernel_model(natoms=p["natoms"], ngauss=p["ngauss"],
                                       surviving_fraction=survivors)
-    launch = LaunchConfig.for_elements(system.nquads, block_size)
-    run = be.time(model, spec, launch, fast_math=fast_math)
-
-    return HartreeFockResult(
-        natoms=natoms,
-        ngauss=ngauss,
-        backend=be.name,
-        gpu=spec.name,
-        kernel_time_ms=run.timing.kernel_time_ms,
-        nquads=system.nquads,
-        surviving_fraction=survivors,
-        verified=verified,
-        max_rel_error=max_rel_error,
-        timing=run.timing,
-    )
+    return model, LaunchConfig.for_elements(nquads, p["block_size"])
 
 
 class HartreeFockWorkload(Workload):
@@ -138,20 +96,11 @@ class HartreeFockWorkload(Workload):
         cache = self.__dict__.setdefault("_tuning_system_cache", {})
         shape = cache.get(key)
         if shape is None:
-            system = make_helium_system(p["natoms"], p["ngauss"],
-                                        spacing=p["spacing"])
-            schwarz = compute_schwarz(
-                system, approximate=p["natoms"] >= APPROX_SCHWARZ_NATOMS)
-            shape = (system.nquads,
-                     surviving_quadruple_fraction(schwarz, p["schwarz_tol"]))
+            shape = _problem_shape(p)
             if len(cache) > 8:
                 cache.clear()
             cache[key] = shape
-        nquads, survivors = shape
-        model = hartree_fock_kernel_model(natoms=p["natoms"],
-                                          ngauss=p["ngauss"],
-                                          surviving_fraction=survivors)
-        return model, LaunchConfig.for_elements(nquads, p["block_size"])
+        return _model_and_launch(p, *shape)
 
     def lint_graph(self):
         """Two-stream upload → fan-in → ERI kernel → D2H capture (tiny system).
@@ -168,14 +117,8 @@ class HartreeFockWorkload(Workload):
 
         from ..core.device import DeviceContext
         from ..core.dtypes import DType
-        from ..core.kernel import LaunchConfig
         from ..core.layout import Layout
-        from ..kernels.hartreefock.basis import make_helium_system
-        from ..kernels.hartreefock.kernel import (
-            hartree_fock_kernel,
-            hartree_fock_kernel_model,
-        )
-        from ..kernels.hartreefock.runner import compute_schwarz
+        from ..kernels.hartreefock.kernel import hartree_fock_kernel
 
         natoms, ngauss = 2, 3
         system = make_helium_system(natoms, ngauss, spacing=2.5)
@@ -229,28 +172,27 @@ class HartreeFockWorkload(Workload):
     def _run(self, request: RunRequest) -> WorkloadResult:
         p = request.params
         sink: dict = {}
-        result = bench_hartreefock(
-            natoms=p["natoms"], ngauss=p["ngauss"], backend=request.backend,
-            gpu=request.gpu, block_size=p["block_size"], spacing=p["spacing"],
-            schwarz_tol=p["schwarz_tol"], verify=request.verify,
-            verify_natoms=p["verify_natoms"], fast_math=request.fast_math,
-            executor=request.executor,
-            streams=request.streams, pipeline_sink=sink,
-        )
-        timing = self._timing_with_pipeline({"kernel": result.timing}, sink)
+        max_rel_error = float("nan")
+        if request.verify:
+            _, max_rel_error = run_hartreefock_functional(
+                p["verify_natoms"], p["ngauss"], gpu=request.gpu,
+                executor=request.executor, streams=request.streams,
+                pipeline_sink=sink)
+
+        nquads, survivors = _problem_shape(p)
+        run = self._time(request, *_model_and_launch(p, nquads, survivors))
         return WorkloadResult(
             request=request,
             metrics={
-                "kernel_time_ms": result.kernel_time_ms,
-                "nquads": float(result.nquads),
-                "surviving_fraction": result.surviving_fraction,
+                "kernel_time_ms": run.timing.kernel_time_ms,
+                "nquads": float(nquads),
+                "surviving_fraction": survivors,
                 **self.counter_metrics(request),
             },
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=result.max_rel_error),
-            timing=timing,
+            verification=Verification(ran=request.verify,
+                                      passed=request.verify,
+                                      max_rel_error=max_rel_error),
+            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

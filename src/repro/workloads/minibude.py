@@ -1,20 +1,18 @@
-"""Unified-API adapter for the miniBUDE workload.
+"""Workload adapter for the miniBUDE ``fasten`` kernel (Figures 6-7).
 
-The benchmark engine (:func:`bench_minibude`) lives here; the legacy
-:func:`repro.kernels.minibude.runner.run_minibude` is a thin shim over it.
+A run builds the bm1-shaped deck, checks the device kernel functionally on
+a reduced deck, and reports the Eq. 3 GFLOP/s of the modelled kernel time
+for the requested poses-per-work-item and work-group size.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping
 
-from ..backends import get_backend
-from ..gpu.specs import get_gpu
 from ..kernels.minibude.deck import (
     BM1_NATLIG,
     BM1_NATPRO,
     BM1_NPOSES,
-    Deck,
     make_bm1,
     make_deck,
 )
@@ -22,79 +20,20 @@ from ..kernels.minibude.kernel import fasten_kernel_model
 from ..kernels.minibude.metrics import gflops
 from ..kernels.minibude.reference import reference_energies
 from ..kernels.minibude.runner import (
-    MiniBudeResult,
     minibude_launch_config,
     run_fasten_functional,
 )
 from .base import ParamSpec, RunRequest, Verification, Workload, WorkloadResult
 from .provenance import build_provenance
 
-__all__ = ["MiniBudeWorkload", "bench_minibude"]
+__all__ = ["MiniBudeWorkload"]
 
 
-def bench_minibude(
-    *,
-    ppwi: int = 1,
-    wgsize: int = 64,
-    nposes: int = BM1_NPOSES,
-    backend: str = "mojo",
-    gpu: str = "h100",
-    fast_math: bool = False,
-    deck: Optional[Deck] = None,
-    verify: bool = True,
-    verify_poses: int = 64,
-    seed: int = 2025,
-    executor: str = "auto",
-    streams: int = 1,
-    pipeline_sink: Optional[dict] = None,
-) -> MiniBudeResult:
-    """Benchmark one miniBUDE configuration (bm1 by default).
-
-    Functional verification runs the device kernel on a reduced deck; the
-    reported GFLOP/s for the requested configuration comes from Eq. 3 applied
-    to the modelled kernel time.  ``streams``/``pipeline_sink`` shape the
-    verification pipeline (see
-    :func:`~repro.kernels.minibude.runner.run_fasten_functional`).
-    """
-    spec = get_gpu(gpu)
-    be = get_backend(backend)
-    full_deck = deck or make_bm1(nposes, seed=seed)
-
-    verified = False
-    max_rel_error = float("nan")
-    if verify:
-        small = make_deck(natlig=min(full_deck.natlig, 8),
-                          natpro=min(full_deck.natpro, 32),
-                          ntypes=full_deck.ntypes,
-                          nposes=verify_poses, seed=seed, name="verify")
-        _, max_rel_error = run_fasten_functional(
-            small, ppwi=min(ppwi, 2), wgsize=min(wgsize, 8), gpu=gpu,
-            executor=executor, streams=streams, pipeline_sink=pipeline_sink)
-        verified = True
-
-    model = fasten_kernel_model(ppwi=ppwi, natlig=full_deck.natlig,
-                                natpro=full_deck.natpro, wgsize=wgsize)
-    launch = minibude_launch_config(full_deck.nposes, ppwi, wgsize)
-    run = be.time(model, spec, launch, fast_math=fast_math)
-    time_s = run.timing.kernel_time_s
-    achieved = gflops(ppwi, full_deck.natlig, full_deck.natpro,
-                      full_deck.nposes, time_s)
-
-    return MiniBudeResult(
-        ppwi=ppwi,
-        wgsize=wgsize,
-        nposes=full_deck.nposes,
-        natlig=full_deck.natlig,
-        natpro=full_deck.natpro,
-        backend=be.name,
-        gpu=spec.name,
-        fast_math=run.fast_math,
-        kernel_time_ms=run.timing.kernel_time_ms,
-        gflops=achieved,
-        verified=verified,
-        max_rel_error=max_rel_error,
-        timing=run.timing,
-    )
+def _model_and_launch(p: Mapping[str, object], natlig: int, natpro: int):
+    """Fasten kernel model and launch for *p* on a deck of that shape."""
+    model = fasten_kernel_model(ppwi=p["ppwi"], natlig=natlig, natpro=natpro,
+                                wgsize=p["wgsize"])
+    return model, minibude_launch_config(p["nposes"], p["ppwi"], p["wgsize"])
 
 
 class MiniBudeWorkload(Workload):
@@ -144,11 +83,8 @@ class MiniBudeWorkload(Workload):
 
     def tuning_model(self, request: RunRequest):
         """Fasten kernel model + launch for the pruner (bm1 deck shape)."""
-        p = self.validate_params(request.params)
-        model = fasten_kernel_model(ppwi=p["ppwi"], natlig=BM1_NATLIG,
-                                    natpro=BM1_NATPRO, wgsize=p["wgsize"])
-        return model, minibude_launch_config(p["nposes"], p["ppwi"],
-                                             p["wgsize"])
+        return _model_and_launch(self.validate_params(request.params),
+                                 BM1_NATLIG, BM1_NATPRO)
 
     def lint_graph(self):
         """Two-stream upload → fan-in → fasten → D2H capture on a tiny deck.
@@ -162,9 +98,7 @@ class MiniBudeWorkload(Workload):
 
         from ..core.device import DeviceContext
         from ..core.dtypes import DType
-        from ..kernels.minibude.deck import make_deck
-        from ..kernels.minibude.kernel import fasten_kernel, fasten_kernel_model
-        from ..kernels.minibude.runner import minibude_launch_config
+        from ..kernels.minibude.kernel import fasten_kernel
 
         deck = make_deck(natlig=4, natpro=8, ntypes=2, nposes=32, seed=2025,
                          name="lint")
@@ -224,28 +158,33 @@ class MiniBudeWorkload(Workload):
 
     def _run(self, request: RunRequest) -> WorkloadResult:
         p = request.params
+        deck = make_bm1(p["nposes"], seed=p["seed"])
         sink: dict = {}
-        result = bench_minibude(
-            ppwi=p["ppwi"], wgsize=p["wgsize"], nposes=p["nposes"],
-            backend=request.backend, gpu=request.gpu,
-            fast_math=request.fast_math, verify=request.verify,
-            verify_poses=p["verify_poses"], seed=p["seed"],
-            executor=request.executor,
-            streams=request.streams, pipeline_sink=sink,
-        )
-        timing = self._timing_with_pipeline({"kernel": result.timing}, sink)
+        max_rel_error = float("nan")
+        if request.verify:
+            small = make_deck(natlig=min(deck.natlig, 8),
+                              natpro=min(deck.natpro, 32), ntypes=deck.ntypes,
+                              nposes=p["verify_poses"], seed=p["seed"],
+                              name="verify")
+            _, max_rel_error = run_fasten_functional(
+                small, ppwi=min(p["ppwi"], 2), wgsize=min(p["wgsize"], 8),
+                gpu=request.gpu, executor=request.executor,
+                streams=request.streams, pipeline_sink=sink)
+
+        run = self._time(request,
+                         *_model_and_launch(p, deck.natlig, deck.natpro))
         return WorkloadResult(
             request=request,
             metrics={
-                "gflops": result.gflops,
-                "kernel_time_ms": result.kernel_time_ms,
+                "gflops": gflops(p["ppwi"], deck.natlig, deck.natpro,
+                                 deck.nposes, run.timing.kernel_time_s),
+                "kernel_time_ms": run.timing.kernel_time_ms,
                 **self.counter_metrics(request),
             },
             primary_metric=self.primary_metric,
-            verification=Verification(ran=result.verified,
-                                      passed=result.verified,
-                                      max_rel_error=result.max_rel_error),
-            timing=timing,
+            verification=Verification(ran=request.verify,
+                                      passed=request.verify,
+                                      max_rel_error=max_rel_error),
+            timing=self._timing_with_pipeline({"kernel": run.timing}, sink),
             provenance=build_provenance(request, sampling=self.sampling),
-            raw=result,
         )

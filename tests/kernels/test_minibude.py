@@ -17,10 +17,24 @@ from repro.kernels.minibude import (
     ops_per_workitem,
     reference_energies,
     run_fasten_functional,
-    run_minibude,
     total_ops,
     verify_energies,
 )
+from repro.workloads import get_workload
+
+
+def minibude_result(*, backend, gpu, fast_math=False, verify=False,
+                    **params):
+    """One bm1 request with the given launch *params*."""
+    workload = get_workload("minibude")
+    return workload.run(workload.make_request(
+        backend=backend, gpu=gpu, fast_math=fast_math, verify=verify,
+        params=params))
+
+
+def gflops_of(backend, gpu, *, ppwi=2, wgsize=64, fast_math=False):
+    return minibude_result(backend=backend, gpu=gpu, fast_math=fast_math,
+                           ppwi=ppwi, wgsize=wgsize).metrics["gflops"]
 
 
 class TestDeck:
@@ -155,48 +169,42 @@ class TestLaunchAndModel:
 
 class TestRunner:
     def test_run_minibude_basic(self):
-        res = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                           fast_math=True, verify=False)
-        assert res.gflops > 0
-        assert res.fast_math is True
-        assert res.nposes == 65536
+        res = minibude_result(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
+                              fast_math=True)
+        assert res.metrics["gflops"] > 0
+        assert res.request.fast_math is True
+        assert "fast-math" in " ".join(res.timing["kernel"].notes)
+        assert res.request.params["nposes"] == 65536
 
     def test_fast_math_improves_cuda(self):
-        fm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                          fast_math=True, verify=False)
-        nofm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=False, verify=False)
-        assert fm.gflops > nofm.gflops
+        fm = gflops_of("cuda", "h100", fast_math=True)
+        nofm = gflops_of("cuda", "h100", fast_math=False)
+        assert fm > nofm
 
     def test_mojo_between_cuda_variants_on_h100(self):
-        mojo = run_minibude(ppwi=2, wgsize=64, backend="mojo", gpu="h100", verify=False)
-        fm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                          fast_math=True, verify=False)
-        nofm = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=False, verify=False)
-        assert nofm.gflops <= mojo.gflops <= fm.gflops
+        mojo = gflops_of("mojo", "h100")
+        fm = gflops_of("cuda", "h100", fast_math=True)
+        nofm = gflops_of("cuda", "h100", fast_math=False)
+        assert nofm <= mojo <= fm
 
     def test_mojo_below_hip_on_mi300a(self):
-        mojo = run_minibude(ppwi=2, wgsize=64, backend="mojo", gpu="mi300a", verify=False)
-        hip = run_minibude(ppwi=2, wgsize=64, backend="hip", gpu="mi300a",
-                           fast_math=False, verify=False)
-        assert mojo.gflops < hip.gflops
+        mojo = gflops_of("mojo", "mi300a")
+        hip = gflops_of("hip", "mi300a", fast_math=False)
+        assert mojo < hip
 
     def test_wg64_beats_wg8(self):
-        wg8 = run_minibude(ppwi=2, wgsize=8, backend="cuda", gpu="h100",
-                           fast_math=True, verify=False)
-        wg64 = run_minibude(ppwi=2, wgsize=64, backend="cuda", gpu="h100",
-                            fast_math=True, verify=False)
-        assert wg64.gflops > wg8.gflops
+        wg8 = gflops_of("cuda", "h100", wgsize=8, fast_math=True)
+        wg64 = gflops_of("cuda", "h100", wgsize=64, fast_math=True)
+        assert wg64 > wg8
 
     def test_throughput_rises_then_falls_with_ppwi(self):
-        values = [run_minibude(ppwi=p, wgsize=64, backend="cuda", gpu="h100",
-                               fast_math=True, verify=False).gflops
+        values = [gflops_of("cuda", "h100", ppwi=p, fast_math=True)
                   for p in (1, 8, 128)]
         assert values[1] > values[0]          # ILP gain
         assert values[2] < values[1]          # register-pressure loss
 
     def test_run_with_functional_verification(self):
-        res = run_minibude(ppwi=2, wgsize=8, backend="mojo", gpu="h100",
-                           verify=True, verify_poses=16)
-        assert res.verified and res.max_rel_error < 2e-3
+        res = minibude_result(ppwi=2, wgsize=8, backend="mojo", gpu="h100",
+                              verify=True, verify_poses=16)
+        assert res.verification.passed
+        assert res.verification.max_rel_error < 2e-3

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
 import functools
 import json
 
 import pytest
 
 from repro.cli import accepts_option, build_parser, main
+from repro.workloads.base import EXECUTOR_MODES
 
 
 class TestParser:
@@ -470,6 +472,16 @@ class TestBenchExecutorAndCache:
     def test_invalid_executor_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "stencil", "--executor", "warp"])
+
+    @pytest.mark.parametrize("command", ["bench", "sweep", "trace"])
+    def test_executor_choices_are_the_executor_modes(self, command):
+        parser = build_parser()
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        executor = next(action
+                        for action in commands.choices[command]._actions
+                        if action.dest == "executor")
+        assert tuple(executor.choices) == EXECUTOR_MODES
 
     def test_executor_recorded_in_request_payload(self, capsys, tmp_path):
         code = main(["bench", "stencil", "--param", "L=32", "--repeats", "2",

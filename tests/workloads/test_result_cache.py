@@ -81,7 +81,9 @@ class TestDiskCache:
     def test_round_trip_across_cache_instances(self, tmp_path):
         disk = str(tmp_path / "cache")
         request = _stencil_request()
-        first = run_cached(request, cache=ResultCache(disk_dir=disk))
+        cache = ResultCache(disk_dir=disk)
+        first = run_cached(request, cache=cache)
+        memory_hit = run_cached(request, cache=cache)
 
         fresh = ResultCache(disk_dir=disk)      # simulates a new process
         second = run_cached(request, cache=fresh)
@@ -89,8 +91,10 @@ class TestDiskCache:
         assert info["disk_hits"] == 1 and info["hits"] == 1
         assert second.metrics == pytest.approx(first.metrics)
         assert second.verification.ran == first.verification.ran
-        # Rehydrated results are export-shaped: plain-dict timing, no raw.
-        assert second.raw is None
+        # Both cache tiers return the same result shape.
+        memory_payload, disk_payload = memory_hit.as_dict(), second.as_dict()
+        del memory_payload["provenance"], disk_payload["provenance"]
+        assert disk_payload == memory_payload
         payload = second.as_dict()
         assert payload["metrics"]["bandwidth_gbs"] == pytest.approx(
             first.metrics["bandwidth_gbs"])

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.atomics import ATOMIC_FUNCTIONS
+from ..core.memo import Memo
 from .diagnostics import Diagnostic, Severity
 from .symexpr import (
     Add,
@@ -1015,31 +1016,23 @@ def _launch_key(launch) -> Tuple:
     return (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z)
 
 
+#: :func:`concretize_launch` results per (kernel function, launch dims,
+#: argument signature); ``None`` (no source) is memoised too
+_region_memo = Memo("region_memo", 64)
+
+
 def concretize_launch(kern, args, launch) -> Optional[LaunchRegions]:
     """Integer access boxes of *kern* under *launch* with *args* bound.
 
-    Memoised per ``(kernel function, launch dims, argument signature)``;
-    repeat calls on a hot path reduce to two dict lookups.  Returns
-    ``None`` when the body source is unavailable (the caller falls back to
+    Memoised per ``(kernel function, launch dims, argument signature)``, so
+    repeat calls on a hot path reduce to one memo lookup.  Returns ``None``
+    when the body source is unavailable (the caller falls back to
     whole-buffer reasoning).
     """
-    fn = _underlying_fn(kern)
-    key = (_launch_key(launch), tuple(_arg_key(a) for a in args))
-    cache = getattr(fn, "_repro_region_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            fn._repro_region_cache = cache
-        except (AttributeError, TypeError):  # pragma: no cover
-            return _concretize_uncached(kern, args, launch)
-    hit = cache.get(key, False)
-    if hit is not False:
-        return hit
-    result = _concretize_uncached(kern, args, launch)
-    if len(cache) > 64:               # sweep-sized launch spaces, bounded
-        cache.clear()
-    cache[key] = result
-    return result
+    key = (_underlying_fn(kern), _launch_key(launch),
+           tuple(map(_arg_key, args)))
+    return _region_memo.get_or_compute(
+        key, lambda: _concretize_uncached(kern, args, launch))
 
 
 def _concretize_uncached(kern, args, launch) -> Optional[LaunchRegions]:

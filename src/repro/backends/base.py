@@ -18,10 +18,14 @@ from typing import Optional, Sequence, Tuple
 from ..core.compiler import CompiledKernel, CompilerProfile, compile_kernel
 from ..core.errors import UnsupportedBackendError
 from ..core.kernel import KernelModel, LaunchConfig
+from ..core.memo import Memo
 from ..gpu.specs import GPUSpec, get_gpu
 from ..gpu.timing import KernelTimingModel, TimingBreakdown
 
 __all__ = ["Backend", "BackendRun"]
+
+#: :meth:`Backend.cached_profile` memo, per (backend instance, GPU name)
+_profile_memo = Memo("profile_memo", 64)
 
 
 @dataclass
@@ -88,12 +92,8 @@ class Backend:
         safe and keeps the sweep hot path (compile → cache lookup) free of
         repeated profile construction.
         """
-        cache = self.__dict__.setdefault("_profile_cache", {})
-        profile = cache.get(spec.name)
-        if profile is None:
-            profile = self.compiler_profile(spec)
-            cache[spec.name] = profile
-        return profile
+        return _profile_memo.get_or_compute(
+            (self, spec.name), lambda: self.compiler_profile(spec))
 
     def compile(self, model: KernelModel, gpu, *, launch: Optional[LaunchConfig] = None,
                 fast_math: bool = False) -> CompiledKernel:

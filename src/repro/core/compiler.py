@@ -17,15 +17,13 @@ lives here and can be ablated.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..obs import metrics as _obs_metrics
 from .dtypes import DType
 from .errors import CompilationError
 from .kernel import KernelModel, LaunchConfig, MemoryPattern
+from .memo import Memo
 
 __all__ = [
     "Opcode",
@@ -416,43 +414,24 @@ _SLOW_DIV_WEIGHT = 12.0
 
 
 # ---------------------------------------------------------------------------
-# Compile memoisation
-#
-# The figure/table sweeps recompile the *same* (model, profile, fast_math)
-# combination hundreds of times per experiment (every repeat, every GPU row).
-# KernelModel, CompilerProfile and LaunchConfig are all frozen dataclasses, so
-# the full compile input is hashable by value; custom pass pipelines are keyed
-# by the identity of the pass instances (the tuple in the key keeps them
-# alive, so ids cannot be recycled).  Entries are shared: the cached
-# CompiledKernel's ``ir`` is returned by reference, while ``notes``,
+# Compile memoisation: KernelModel, CompilerProfile and LaunchConfig are
+# frozen, so the compile input is hashable by value; custom pass pipelines
+# are keyed by the identity of the pass instances (the key keeps them alive).
+# The cached CompiledKernel's ``ir`` is shared; ``notes``,
 # ``instruction_mix`` and ``launch`` are fresh per call.
 # ---------------------------------------------------------------------------
 
-_COMPILE_CACHE_MAXSIZE = 512
-_compile_cache: "OrderedDict" = OrderedDict()
-_compile_cache_lock = threading.Lock()
-_compile_cache_hits = 0
-_compile_cache_misses = 0
+_compile_memo = Memo("compile_cache", 512)
 
 
 def compile_cache_info() -> Dict[str, int]:
     """Hit/miss/size statistics of the :func:`compile_kernel` memo."""
-    with _compile_cache_lock:
-        return {
-            "hits": _compile_cache_hits,
-            "misses": _compile_cache_misses,
-            "size": len(_compile_cache),
-            "maxsize": _COMPILE_CACHE_MAXSIZE,
-        }
+    return _compile_memo.info()
 
 
 def clear_compile_cache() -> None:
     """Drop all memoised compilations (and reset the hit/miss counters)."""
-    global _compile_cache_hits, _compile_cache_misses
-    with _compile_cache_lock:
-        _compile_cache.clear()
-        _compile_cache_hits = 0
-        _compile_cache_misses = 0
+    _compile_memo.clear()
 
 
 def compile_kernel(
@@ -471,35 +450,14 @@ def compile_kernel(
     returned object and is applied per call.  Because :class:`KernelModel` is
     frozen, a "mutated" model (via :meth:`KernelModel.scaled`) is a different
     value and therefore a different cache key — stale results cannot be
-    served.
+    served.  An unhashable ingredient (e.g. an exotic pass pipeline)
+    compiles straight through without memoisation.
     """
-    global _compile_cache_hits, _compile_cache_misses
     key = (model, profile, bool(fast_math), backend_name,
            None if passes is None else tuple(passes))
-    try:
-        with _compile_cache_lock:
-            cached = _compile_cache.get(key)
-            if cached is not None:
-                _compile_cache_hits += 1
-                _compile_cache.move_to_end(key)
-        if cached is not None:
-            _obs_metrics.inc("compile_cache_hits_total")
-    except TypeError:
-        # Unhashable ingredient (e.g. an exotic pass pipeline): compile
-        # straight through without memoisation.
-        return _compile_uncached(model, profile, fast_math=fast_math,
-                                 launch=launch, backend_name=backend_name,
-                                 passes=passes)
-    if cached is None:
-        cached = _compile_uncached(model, profile, fast_math=fast_math,
-                                   launch=None, backend_name=backend_name,
-                                   passes=passes)
-        with _compile_cache_lock:
-            _compile_cache_misses += 1
-            _compile_cache[key] = cached
-            while len(_compile_cache) > _COMPILE_CACHE_MAXSIZE:
-                _compile_cache.popitem(last=False)
-        _obs_metrics.inc("compile_cache_misses_total")
+    cached = _compile_memo.get_or_compute(key, lambda: _compile_uncached(
+        model, profile, fast_math=fast_math, launch=None,
+        backend_name=backend_name, passes=passes))
     return replace(cached, launch=launch, notes=list(cached.notes),
                    instruction_mix=dict(cached.instruction_mix))
 

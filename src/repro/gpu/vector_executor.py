@@ -34,13 +34,13 @@ scalar executors automatically — see :meth:`KernelExecutor.launch`.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.intrinsics import Dim3, bind_thread_state
 from ..core.kernel import Kernel
+from ..core.memo import Memo
 from ..resilience import faults as _faults
 
 __all__ = ["VectorThreadState", "LaneDim3", "kernel_vector_safe",
@@ -223,22 +223,9 @@ def _lane_indices(extent: Dim3):
     return x, y, z
 
 
-#: memoised launch geometries (the per-lane index arrays depend only on the
-#: grid/block extents).  Cached entries are frozen read-only, so a kernel
-#: that mutated its index arrays in place fails loudly instead of corrupting
-#: later launches.  Caching removes the arange/tile/repeat cost from every
-#: repeated launch (which is what makes captured-graph replay cheap), and is
-#: limited to small launches so the cache stays byte-bounded and big grids
-#: keep their one-transient-chunk memory profile.
-_GEOMETRY_CACHE: Dict[tuple, list] = {}
-#: launches with at most this many total threads are cached (one chunk)
-_GEOMETRY_CACHE_MAX_LANES = 1 << 16
-#: total cached lane-index bytes before the cache is dropped and rebuilt
-_GEOMETRY_CACHE_MAX_BYTES = 32 << 20
-_geometry_cache_bytes = 0
-#: guards the cache dict and byte counter: sweeps run launches on worker
-#: threads (Sweep.run_workload(workers=N) / run_workload_async)
-_geometry_lock = threading.Lock()
+#: launches with at most this many total threads have their geometry
+#: memoised; bigger grids keep their one-transient-chunk memory profile
+_GEOMETRY_MEMO_MAX_LANES = 1 << 16
 
 
 def _iter_chunks(bd: Dim3, gd: Dim3):
@@ -270,42 +257,41 @@ def _iter_chunks(bd: Dim3, gd: Dim3):
             )
 
 
+def _chunk_arrays(chunks):
+    """Distinct lane-index arrays of *chunks* (tx/ty/tz are shared)."""
+    return {id(c): c for t, b, _ in chunks for dim3 in (t, b)
+            for c in (dim3.x, dim3.y, dim3.z)
+            if isinstance(c, np.ndarray)}.values()
+
+
+def _frozen_chunks(bd: Dim3, gd: Dim3) -> list:
+    """The launch's chunk list with every lane-index array made read-only."""
+    chunks = list(_iter_chunks(bd, gd))
+    for array in _chunk_arrays(chunks):
+        array.setflags(write=False)
+    return chunks
+
+
+#: launch geometries by grid/block extents: removes the arange/tile/repeat
+#: cost from repeated launches (what makes graph replay cheap).  Entries are
+#: frozen read-only, so a kernel mutating its index arrays fails loudly
+#: instead of corrupting later launches; LRU past 32 MB of lane indices.
+_geometry_memo = Memo(
+    "geometry_memo", 128, max_bytes=32 << 20,
+    sizeof=lambda chunks: sum(a.nbytes for a in _chunk_arrays(chunks)))
+
+
 def _grid_geometry(bd: Dim3, gd: Dim3):
     """Whole-grid lane geometry: an iterable of chunk tuples.
 
-    Small launches (≤ :data:`_GEOMETRY_CACHE_MAX_LANES` threads) return a
+    Small launches (≤ :data:`_GEOMETRY_MEMO_MAX_LANES` threads) return a
     memoised list of frozen chunks; larger grids return the transient
     chunk generator.
     """
-    global _geometry_cache_bytes
-    key = (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z)
-    with _geometry_lock:
-        cached = _GEOMETRY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if gd.total * bd.total > _GEOMETRY_CACHE_MAX_LANES:
+    if gd.total * bd.total > _GEOMETRY_MEMO_MAX_LANES:
         return _iter_chunks(bd, gd)
-    chunks = list(_iter_chunks(bd, gd))
-    nbytes = 0
-    seen: set = set()
-    for thread_idx, block_idx, _ in chunks:
-        for dim3 in (thread_idx, block_idx):
-            for comp in (dim3.x, dim3.y, dim3.z):
-                if isinstance(comp, np.ndarray):
-                    comp.setflags(write=False)
-                    if id(comp) not in seen:  # tx/ty/tz shared across chunks
-                        seen.add(id(comp))
-                        nbytes += comp.nbytes
-    with _geometry_lock:
-        raced = _GEOMETRY_CACHE.get(key)
-        if raced is not None:
-            return raced
-        if _geometry_cache_bytes + nbytes > _GEOMETRY_CACHE_MAX_BYTES:
-            _GEOMETRY_CACHE.clear()
-            _geometry_cache_bytes = 0
-        _GEOMETRY_CACHE[key] = chunks
-        _geometry_cache_bytes += nbytes
-    return chunks
+    return _geometry_memo.get_or_compute(
+        (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z), lambda: _frozen_chunks(bd, gd))
 
 
 def run_vectorized(kern, args, launch, counters, *, per_block: bool) -> int:

@@ -40,10 +40,10 @@ internally and surfaces as a ``None`` entry (i.e. "keep interpreting").
 
 Specialisation key: the generated source bakes slice *bounds* (derived from
 launch extents, scalar argument values and tensor shapes), so compiled
-entries are memoised on the kernel function object keyed by exactly those
-ingredients.  Tensor *data* is rebound on every call (the entry re-reads
-``args[i].ptr``), so replaying a graph with new H2D bindings reuses the
-compiled module.
+entries are memoised in a bounded LRU keyed by the kernel function and
+exactly those ingredients.  Tensor *data* is rebound on every call (the
+entry re-reads ``args[i].ptr``), so replaying a graph with new H2D bindings
+reuses the compiled module.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ import numpy as np
 
 from ..core.kernel import Kernel, LaunchConfig
 from ..core.layout import LayoutTensor
+from ..core.memo import Memo
 
 __all__ = ["LoweringUnsupported", "lower_launch", "lower_source",
            "lowering_report"]
@@ -539,14 +540,9 @@ def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
 
 
 # -------------------------------------------------------------------- public
-def _cache_for(fn) -> Optional[Dict]:
-    cache = getattr(fn, "_repro_lowered", None)
-    if cache is None:
-        try:
-            cache = fn._repro_lowered = {}
-        except (AttributeError, TypeError):  # pragma: no cover - builtins
-            return None
-    return cache
+#: lowered specialisations per (kernel function, launch dims, argument
+#: signature): ``(entry, source)`` or ``(None, reason)``
+_lowering_memo = Memo("lowering_memo", 128)
 
 
 def _lower(kern, args: Sequence, launch: LaunchConfig):
@@ -554,19 +550,17 @@ def _lower(kern, args: Sequence, launch: LaunchConfig):
     fn = kern.fn if isinstance(kern, Kernel) else kern
     bd, gd = launch.block_dim, launch.grid_dim
     try:
-        key = ((bd.x, bd.y, bd.z, gd.x, gd.y, gd.z), _arg_signature(args))
+        key = (fn, (bd.x, bd.y, bd.z, gd.x, gd.y, gd.z), _arg_signature(args))
     except LoweringUnsupported as exc:
         return None, str(exc)
-    cache = _cache_for(fn)
-    if cache is not None and key in cache:
-        return cache[key]
-    try:
-        entry = _generate(kern, args, launch)
-    except LoweringUnsupported as exc:
-        entry = (None, str(exc))
-    if cache is not None:
-        cache[key] = entry
-    return entry
+
+    def generate():
+        try:
+            return _generate(kern, args, launch)
+        except LoweringUnsupported as exc:
+            return None, str(exc)
+
+    return _lowering_memo.get_or_compute(key, generate)
 
 
 def lower_launch(kern, args: Sequence, launch: LaunchConfig):

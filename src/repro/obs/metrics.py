@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "COUNTER_CATALOG",
+    "MEMO_CATALOG",
     "HISTOGRAM_CATALOG",
     "LATENCY_BUCKETS_MS",
     "MetricsRegistry",
@@ -45,16 +46,34 @@ __all__ = [
     "registry",
 ]
 
+#: every :class:`repro.core.memo.Memo` by name: (what it memoises, whether
+#: it has a disk tier).  Each contributes ``<name>_hits_total`` and
+#: ``<name>_misses_total`` (plus ``<name>_disk_hits_total``) to the catalog,
+#: and a memo cannot be built under a name missing here.
+MEMO_CATALOG: Dict[str, Tuple[str, bool]] = {
+    "result_cache": ("ResultCache", True),
+    "tuning_db": ("TuningDB", True),
+    "compile_cache": ("compile_kernel memo", False),
+    "counter_memo": ("Workload.counter_metrics memo", False),
+    "geometry_memo": ("vectorized launch-geometry memo", False),
+    "profile_memo": ("Backend.cached_profile memo", False),
+    "hf_shape_memo": ("Hartree-Fock problem-shape memo", False),
+    "lowering_memo": ("graphopt lowering memo", False),
+    "region_memo": ("concretize_launch region memo", False),
+}
+
+#: catalog name -> help text of every memo counter
+_MEMO_COUNTERS: Dict[str, str] = {
+    f"{name}_{kind}_total": f"{what} {text}"
+    for name, (what, disk) in MEMO_CATALOG.items()
+    for kind, text in (("hits", "lookups answered without computing"),
+                       ("misses", "lookups that computed the value"),
+                       ("disk_hits", "hits served from the disk store"))
+    if disk or kind != "disk_hits"
+}
+
 #: every counter the stack can emit, zero-filled in every snapshot
-COUNTER_CATALOG: Tuple[str, ...] = (
-    "result_cache_hits_total",
-    "result_cache_misses_total",
-    "result_cache_disk_hits_total",
-    "tuning_db_hits_total",
-    "tuning_db_misses_total",
-    "tuning_db_disk_hits_total",
-    "compile_cache_hits_total",
-    "compile_cache_misses_total",
+COUNTER_CATALOG: Tuple[str, ...] = tuple(_MEMO_COUNTERS) + (
     "fault_injections_fired_total",
     "retry_attempts_total",
     "breaker_open_total",
@@ -78,14 +97,7 @@ LATENCY_BUCKETS_MS: Tuple[float, ...] = (
 )
 
 _HELP = {
-    "result_cache_hits_total": "ResultCache lookups answered from memory or disk",
-    "result_cache_misses_total": "ResultCache lookups that fell through to a run",
-    "result_cache_disk_hits_total": "ResultCache hits served from the disk store",
-    "tuning_db_hits_total": "TuningDB lookups answered from memory or disk",
-    "tuning_db_misses_total": "TuningDB lookups that fell through to a search",
-    "tuning_db_disk_hits_total": "TuningDB hits served from the disk store",
-    "compile_cache_hits_total": "compile_kernel calls answered from the memo",
-    "compile_cache_misses_total": "compile_kernel calls that ran the pipeline",
+    **_MEMO_COUNTERS,
     "fault_injections_fired_total": "FaultInjector rules that actually fired",
     "retry_attempts_total": "re-attempts after a retryable failure",
     "breaker_open_total": "CircuitBreaker closed/half-open -> open transitions",

@@ -1,9 +1,8 @@
 """The tuning database: remembered winners per (workload, gpu, backend, ...).
 
-Mirrors the request-level result cache (:mod:`repro.workloads.cache`): an
-in-memory LRU in front of an optional on-disk JSON store (default location
-``.repro_tune/``), thread-safe, with ``info()``/``clear()`` statistics and a
-module-level default instance.
+A :class:`~repro.core.memo.MemoStore` like the request-level result cache
+(:mod:`repro.workloads.cache`), with its disk store at ``.repro_tune/`` and
+a module-level default instance.
 
 Keys
 ----
@@ -29,11 +28,10 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from ..obs import metrics as _obs_metrics
+from ..core.memo import MemoStore
 from .space import TuningConfig, TuningSpace
 
 __all__ = ["TuningRecord", "TuningDB", "DEFAULT_TUNE_DIR",
@@ -152,20 +150,16 @@ def tuning_key(request, tuned_params: Sequence[str] = (),
     return hashlib.sha256(keyed.encode("utf-8")).hexdigest()[:24]
 
 
-class TuningDB:
+class TuningDB(MemoStore):
     """Keyed store of :class:`TuningRecord`, memory LRU + optional disk."""
+
+    memo_name = "tuning_db"
+    default_dir = DEFAULT_TUNE_DIR
 
     def __init__(self, maxsize: int = 128,
                  disk_dir: Optional[str] = None,
                  max_disk_bytes: int = DEFAULT_TUNE_DISK_BUDGET):
-        self.maxsize = int(maxsize)
-        self.disk_dir = disk_dir
-        self.max_disk_bytes = max_disk_bytes
-        self._entries: "OrderedDict[str, TuningRecord]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
+        super().__init__(maxsize, disk_dir, max_disk_bytes)
 
     # ------------------------------------------------------------------ keys
     @staticmethod
@@ -174,89 +168,26 @@ class TuningDB:
             return tuning_key(request)
         return tuning_key(request, space.param_names, space.field_names)
 
-    def _disk_path(self, workload: str, key: str) -> str:
+    def _disk_path(self, key) -> str:
+        workload, digest = key
         return os.path.join(self.disk_dir, "records",
-                            f"{workload}-{key}.json")
+                            f"{workload}-{digest}.json")
 
     # ------------------------------------------------------------- get / put
     def get(self, request, space: Optional[TuningSpace] = None,
             ) -> Optional[TuningRecord]:
         """Best-known record for *request*'s problem, or None."""
-        key = self.key_for(request, space)
-        with self._lock:
-            record = self._entries.get(key)
-            if record is not None:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                _obs_metrics.inc("tuning_db_hits_total")
-                return record
-        if self.disk_dir is not None:
-            record = self._disk_get(request.workload, key)
-            if record is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._remember(key, record)
-                _obs_metrics.inc("tuning_db_hits_total")
-                _obs_metrics.inc("tuning_db_disk_hits_total")
-                return record
-        with self._lock:
-            self._misses += 1
-        _obs_metrics.inc("tuning_db_misses_total")
-        return None
+        return self._memo.get((request.workload, self.key_for(request, space)))
 
     def put(self, request, record: TuningRecord,
             space: Optional[TuningSpace] = None) -> str:
         """Store *record* for *request*'s problem; returns the key."""
         key = self.key_for(request, space)
-        with self._lock:
-            self._remember(key, record)
-        if self.disk_dir is not None:
-            self._disk_put(request.workload, key, record)
+        self._memo.put((request.workload, key), record)
         return key
 
-    def _remember(self, key: str, record: TuningRecord) -> None:
-        self._entries[key] = record
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    # ----------------------------------------------------------------- disk
-    def _disk_get(self, workload: str, key: str) -> Optional[TuningRecord]:
-        from ..core.diskstore import read_json_entry
-
-        payload = read_json_entry(self._disk_path(workload, key))
-        if payload is None:
-            return None
-        return TuningRecord.from_dict(payload)
-
-    def _disk_put(self, workload: str, key: str,
-                  record: TuningRecord) -> None:
-        from ..core.diskstore import write_json_entry
-
-        write_json_entry(self._disk_path(workload, key), record.as_dict(),
-                         self.max_disk_bytes)
-
-    # ------------------------------------------------------------ statistics
-    def info(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "disk_hits": self._disk_hits,
-                "disk_enabled": self.disk_dir is not None,
-                "max_disk_bytes": self.max_disk_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop in-memory records and reset counters (disk left in place)."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._disk_hits = 0
+    _dump = staticmethod(TuningRecord.as_dict)
+    _load = staticmethod(lambda key, payload: TuningRecord.from_dict(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +214,9 @@ def configure_tuning_db(*, maxsize: Optional[int] = None,
     """
     global _default_db
     with _default_lock:
-        current = _default_db
-        new_maxsize = maxsize if maxsize is not None else current.maxsize
-        new_budget = max_disk_bytes if max_disk_bytes is not None \
-            else current.max_disk_bytes
-        if disk is None:
-            new_dir = disk_dir if disk_dir is not None else current.disk_dir
-        elif disk:
-            new_dir = disk_dir or current.disk_dir or DEFAULT_TUNE_DIR
-        else:
-            new_dir = None
-        _default_db = TuningDB(maxsize=new_maxsize, disk_dir=new_dir,
-                               max_disk_bytes=new_budget)
+        _default_db = _default_db.reconfigured(
+            maxsize=maxsize, disk_dir=disk_dir, disk=disk,
+            max_disk_bytes=max_disk_bytes)
         return _default_db
 
 

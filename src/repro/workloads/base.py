@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import ConfigurationError, VerificationError
+from ..core.memo import Memo
 from ..harness.runner import MeasurementProtocol
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -577,16 +578,8 @@ class Workload:
         model, launch = self.tuning_model(request)
         key = (model, launch, request.backend, request.gpu,
                request.fast_math)
-        try:
-            cached = _COUNTER_MEMO.get(key)
-        except TypeError:  # unhashable launch: compute uncached
-            return self._compute_counter_metrics(request, model, launch)
-        if cached is None:
-            cached = self._compute_counter_metrics(request, model, launch)
-            _COUNTER_MEMO[key] = cached
-            while len(_COUNTER_MEMO) > _COUNTER_MEMO_MAXSIZE:
-                _COUNTER_MEMO.pop(next(iter(_COUNTER_MEMO)))
-        return dict(cached)
+        return dict(_counter_memo.get_or_compute(
+            key, lambda: self._compute_counter_metrics(request, model, launch)))
 
     @staticmethod
     def _jittered_samples(rng, value: float, jitter: float,
@@ -736,9 +729,9 @@ class Workload:
 
 
 #: memo for :meth:`Workload.counter_metrics` — counters are pure functions
-#: of (model, launch, backend, gpu, fast_math), so repeat runs pay nothing
-_COUNTER_MEMO: Dict[object, Dict[str, float]] = {}
-_COUNTER_MEMO_MAXSIZE = 256
+#: of (model, launch, backend, gpu, fast_math), so repeat runs pay nothing;
+#: an unhashable launch computes uncached
+_counter_memo = Memo("counter_memo", 256)
 
 
 def _modelled_result_ms(result: WorkloadResult) -> Optional[float]:

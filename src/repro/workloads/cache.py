@@ -6,21 +6,14 @@ timing model is deterministic), so repeated sweep points and repeated
 ``bench`` invocations can be answered from a keyed memo instead of re-running
 verification and the analytic pipeline.
 
-Two layers, mirroring the memoised compile pipeline
-(:func:`repro.core.compiler.compile_cache_info`):
-
-* an **in-memory LRU** keyed directly by the ``RunRequest`` — exact object
-  round-trip, used by :meth:`repro.harness.sweep.Sweep.run_workload` and any
-  in-process repetition;
-* an optional **on-disk JSON store** (default location ``.repro_cache/``)
-  keyed by a digest of the request's canonical JSON — survives process
-  boundaries, which makes repeated CLI ``bench`` invocations near-free.
-  Disk hits are rehydrated into a :class:`WorkloadResult` whose ``timing``
-  entries are the plain exported dicts (documented as export-shaped for
-  cached results).
-
-``result_cache_info()`` / ``clear_result_cache()`` expose the default
-cache's statistics, mirroring ``compile_cache_info`` / ``clear_compile_cache``.
+A :class:`~repro.core.memo.MemoStore`: an **in-memory LRU** keyed by the
+``RunRequest`` itself, over an optional **on-disk JSON store** (default
+``.repro_cache/``) keyed by a digest of the request's canonical JSON, which
+survives process boundaries and makes repeated CLI ``bench`` invocations
+near-free.  Disk hits are rehydrated into a :class:`WorkloadResult` whose
+``timing`` entries are the plain exported dicts (export-shaped for cached
+results).  ``result_cache_info()`` / ``clear_result_cache()`` expose the
+default cache's statistics.
 """
 
 from __future__ import annotations
@@ -31,10 +24,9 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional
 
-from ..obs import metrics as _obs_metrics
+from ..core.memo import MemoStore
 from .base import RunRequest, Verification, WorkloadResult
 
 __all__ = ["ResultCache", "run_cached", "result_cache_info",
@@ -53,7 +45,7 @@ DEFAULT_CACHE_DISK_BUDGET = 64 * 1024 * 1024
 _DISK_SCHEMA = "repro.result-cache/v1"
 
 
-class ResultCache:
+class ResultCache(MemoStore):
     """Keyed memo of :class:`WorkloadResult` by :class:`RunRequest`.
 
     Thread-safe; the in-memory layer is an LRU bounded by *maxsize*.  Pass a
@@ -61,18 +53,15 @@ class ResultCache:
     :meth:`put` and consulted on in-memory misses).
     """
 
+    memo_name = "result_cache"
+    default_dir = DEFAULT_CACHE_DIR
+
     def __init__(self, maxsize: int = 256,
                  disk_dir: Optional[str] = None,
                  max_disk_bytes: int = DEFAULT_CACHE_DISK_BUDGET):
-        self.maxsize = int(maxsize)
-        self.disk_dir = disk_dir
-        self.max_disk_bytes = max_disk_bytes
-        self._entries: "OrderedDict[RunRequest, WorkloadResult]" = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._disk_hits = 0
+        super().__init__(maxsize, disk_dir, max_disk_bytes)
         # per-request single-flight locks (see locked()); guarded by _lock
+        self._lock = threading.Lock()
         self._inflight: Dict[RunRequest, threading.Lock] = {}
         self._inflight_refs: Dict[RunRequest, int] = {}
 
@@ -132,27 +121,8 @@ class ResultCache:
     # ------------------------------------------------------------- get / put
     def get(self, request: RunRequest) -> Optional[WorkloadResult]:
         """Cached result for *request*, or None.  Counts a hit or a miss."""
-        with self._lock:
-            result = self._entries.get(request)
-            if result is not None:
-                self._entries.move_to_end(request)
-                self._hits += 1
-                _obs_metrics.inc("result_cache_hits_total")
-                return _clone(result)
-        if self.disk_dir is not None:
-            result = self._disk_get(request)
-            if result is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._disk_hits += 1
-                    self._remember(request, result)
-                _obs_metrics.inc("result_cache_hits_total")
-                _obs_metrics.inc("result_cache_disk_hits_total")
-                return _clone(result)
-        with self._lock:
-            self._misses += 1
-        _obs_metrics.inc("result_cache_misses_total")
-        return None
+        result = self._memo.get(request)
+        return None if result is None else _clone(result)
 
     def put(self, request: RunRequest, result: WorkloadResult) -> None:
         """Store *result* under *request* (write-through to disk if enabled).
@@ -160,59 +130,17 @@ class ResultCache:
         A caller-isolated clone is stored, so mutating the result object
         after ``put`` cannot poison the cache.
         """
-        stored = _clone(result)
-        with self._lock:
-            self._remember(request, stored)
-        if self.disk_dir is not None:
-            self._disk_put(request, stored)
+        self._memo.put(request, _clone(result))
 
-    def _remember(self, request: RunRequest, result: WorkloadResult) -> None:
-        self._entries[request] = result
-        self._entries.move_to_end(request)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+    @staticmethod
+    def _dump(result: WorkloadResult) -> Dict:
+        return {"schema": _DISK_SCHEMA, "result": result.as_dict()}
 
-    # ----------------------------------------------------------------- disk
-    def _disk_get(self, request: RunRequest) -> Optional[WorkloadResult]:
-        from ..core.diskstore import read_json_entry
-
-        payload = read_json_entry(self._disk_path(request))
-        if payload is None or payload.get("schema") != _DISK_SCHEMA:
+    @staticmethod
+    def _load(request: RunRequest, payload: Dict) -> Optional[WorkloadResult]:
+        if payload.get("schema") != _DISK_SCHEMA:
             return None
         return _result_from_export(request, payload["result"])
-
-    def _disk_put(self, request: RunRequest, result: WorkloadResult) -> None:
-        from ..core.diskstore import write_json_entry
-
-        write_json_entry(self._disk_path(request),
-                         {"schema": _DISK_SCHEMA, "result": result.as_dict()},
-                         self.max_disk_bytes)
-
-    # ------------------------------------------------------------ statistics
-    def info(self) -> Dict[str, int]:
-        """Hit/miss/size statistics, shaped like ``compile_cache_info()``."""
-        with self._lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "size": len(self._entries),
-                "maxsize": self.maxsize,
-                "disk_hits": self._disk_hits,
-                "disk_enabled": self.disk_dir is not None,
-                "max_disk_bytes": self.max_disk_bytes,
-            }
-
-    def clear(self) -> None:
-        """Drop the in-memory entries and reset the counters.
-
-        Disk entries are left in place (delete ``.repro_cache/`` to drop
-        them); a cleared cache simply re-reads them as disk hits.
-        """
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-            self._disk_hits = 0
 
 
 def _clone(result: WorkloadResult) -> WorkloadResult:
@@ -275,18 +203,9 @@ def configure_result_cache(*, maxsize: Optional[int] = None,
     """
     global _default_cache
     with _default_lock:
-        current = _default_cache
-        new_maxsize = maxsize if maxsize is not None else current.maxsize
-        new_budget = max_disk_bytes if max_disk_bytes is not None \
-            else current.max_disk_bytes
-        if disk is None:
-            new_dir = disk_dir if disk_dir is not None else current.disk_dir
-        elif disk:
-            new_dir = disk_dir or current.disk_dir or DEFAULT_CACHE_DIR
-        else:
-            new_dir = None
-        _default_cache = ResultCache(maxsize=new_maxsize, disk_dir=new_dir,
-                                     max_disk_bytes=new_budget)
+        _default_cache = _default_cache.reconfigured(
+            maxsize=maxsize, disk_dir=disk_dir, disk=disk,
+            max_disk_bytes=max_disk_bytes)
         return _default_cache
 
 

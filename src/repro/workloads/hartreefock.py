@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..core.kernel import LaunchConfig
+from ..core.memo import Memo
 from ..kernels.hartreefock.basis import make_helium_system
 from ..kernels.hartreefock.kernel import (
     SCHWARZ_TOLERANCE,
@@ -45,6 +46,10 @@ def _model_and_launch(p: Mapping[str, object], nquads: int,
     model = hartree_fock_kernel_model(natoms=p["natoms"], ngauss=p["ngauss"],
                                       surviving_fraction=survivors)
     return model, LaunchConfig.for_elements(nquads, p["block_size"])
+
+
+#: :meth:`HartreeFockWorkload.tuning_model`'s :func:`_problem_shape` memo
+_shape_memo = Memo("hf_shape_memo", 16)
 
 
 class HartreeFockWorkload(Workload):
@@ -93,13 +98,7 @@ class HartreeFockWorkload(Workload):
         """
         p = self.validate_params(request.params)
         key = (p["natoms"], p["ngauss"], p["spacing"], p["schwarz_tol"])
-        cache = self.__dict__.setdefault("_tuning_system_cache", {})
-        shape = cache.get(key)
-        if shape is None:
-            shape = _problem_shape(p)
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = shape
+        shape = _shape_memo.get_or_compute(key, lambda: _problem_shape(p))
         return _model_and_launch(p, *shape)
 
     def lint_graph(self):

@@ -153,6 +153,25 @@ class TestInstrumentedSites:
         assert db.get(request) is None
         assert registry().counter("tuning_db_misses_total") == 1.0
 
+    def test_geometry_and_lowering_memo_counters(self, stencil):
+        # the auto run interprets on the vectorized lane geometry, the
+        # lowered run of the same configuration dispatches to NumPy slices
+        request = stencil.make_request(params={"L": 18}, protocol=FAST)
+        stencil.run(request)
+        stencil.run(request.replace(executor="lowered"))
+        counters = snapshot()["counters"]
+        for memo in ("geometry_memo", "lowering_memo"):
+            assert (counters[f"{memo}_hits_total"]
+                    + counters[f"{memo}_misses_total"]) > 0, memo
+
+    def test_every_memo_counter_is_catalogued(self):
+        from repro.obs.metrics import MEMO_CATALOG
+
+        for name, (_, disk) in MEMO_CATALOG.items():
+            assert f"{name}_hits_total" in COUNTER_CATALOG
+            assert f"{name}_misses_total" in COUNTER_CATALOG
+            assert (f"{name}_disk_hits_total" in COUNTER_CATALOG) == disk
+
     def test_lint_diagnostics_counter(self):
         from repro.analysis.lint import run_lint
 

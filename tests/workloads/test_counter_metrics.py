@@ -68,3 +68,54 @@ def test_counter_metrics_memo_returns_copies():
     first["counter_duration_ms"] = -1.0  # caller-side mutation
     second = workload.counter_metrics(request)
     assert second["counter_duration_ms"] > 0
+
+
+def test_counter_memo_survives_concurrent_eviction():
+    """8 threads over more distinct keys than the memo bound: none raises.
+
+    Each thread cycles through its own 200 stencil sizes, so the threads
+    insert and evict concurrently; a tiny switch interval makes the
+    interleavings dense.
+    """
+    import sys
+    import threading
+    import time
+
+    from repro.workloads import base as workloads_base
+
+    workload = get_workload("stencil")
+    nthreads, per_thread = 8, 200
+    requests = [[workload.make_request(params={"L": 3 + t * per_thread + i})
+                 for i in range(per_thread)] for t in range(nthreads)]
+    memo = workloads_base._counter_memo
+    assert nthreads * per_thread > memo.maxsize
+    errors = []
+
+    def worker(batch, deadline):
+        try:
+            while time.perf_counter() < deadline:
+                for request in batch:
+                    workload.counter_metrics(request)
+                    if time.perf_counter() >= deadline:
+                        return
+        except Exception as exc:  # noqa: BLE001 - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            deadline = time.perf_counter() + 1.0
+            threads = [threading.Thread(target=worker, args=(batch, deadline))
+                       for batch in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            if errors:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+    assert len(memo) <= memo.maxsize

@@ -5,11 +5,10 @@ buffer parameter, the set of *symbolic access regions* — per-dimension
 :mod:`~repro.analysis.symexpr` expressions in the launch variables
 (``thread_idx.x`` … ``grid_dim.z``) and the kernel's scalar parameters,
 tightened by the guard masks the body establishes (comparison
-conjunctions, ``compress_lanes`` clamps, ``lane_where`` selects — the same
-patterns :mod:`repro.graphopt.lower` recognises when it vectorises
-guards).  The symbolic summary is launch-independent and memoised on the
-kernel function; *concretizing* it against an actual launch and argument
-list yields integer index boxes per buffer, which feed four consumers:
+conjunctions, ``compress_lanes`` clamps, ``lane_where`` selects).  The
+symbolic summary is launch-independent and memoised on the kernel
+function; *concretizing* it against an actual launch and argument list
+yields integer index boxes per buffer, which feed five consumers:
 
 * **racecheck** — provably disjoint cross-stream boxes suppress GR201;
   partial overlaps fire ``GR204`` with the exact conflicting interval.
@@ -18,6 +17,10 @@ list yields integer index boxes per buffer, which feed four consumers:
   ``KV103`` warnings at the same source line.
 * **graphopt fusion** — :func:`covers` grants cover-set fusion legality
   when a leader launch reproduces a follower's exact regions.
+* **graphopt lowering** — :attr:`LaunchRegions.lanes` gives, per access
+  site, the exact lane range and offset of every dimension that is one
+  launch axis's global index (:class:`LaneDim`); ``graphopt.lower`` turns
+  those into NumPy slices.
 * **tuning** — :func:`launch_traffic` replaces the heuristic
   bytes-per-thread roofline inputs with exact per-buffer byte counts.
 
@@ -30,7 +33,9 @@ the access to ⊤ (the whole buffer), never to a smaller set.  Disjointness
 conclusions drawn from regions are therefore sound.  The opposite
 direction (an access *must* go out of bounds) additionally requires the
 expression to be endpoint-exact — affine with single-occurrence variables
-— and unguarded; only then does ``KV106`` fire as an error.
+— and unguarded; only then does ``KV106`` fire as an error.  Lane
+exactness (:class:`LaneDim`) is stricter still: every guard on the way
+must have parsed completely, so the box is exactly the indices touched.
 """
 
 from __future__ import annotations
@@ -39,8 +44,10 @@ import ast
 import inspect
 import math
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.atomics import ATOMIC_FUNCTIONS
 from ..core.memo import Memo
@@ -68,6 +75,7 @@ __all__ = [
     "kernel_regions",
     "ArgRegion",
     "LaunchRegions",
+    "LaneDim",
     "concretize_launch",
     "bounds_diagnostics",
     "buffer_region",
@@ -116,6 +124,7 @@ class RegionAccess:
     exprs: Optional[Tuple[SymExpr, ...]]   # per-dim index; None = ⊤
     guarded: bool                    # a lane guard/clamp dominates the site
     exact: bool                      # interval endpoints are achieved
+    col: int = 0                     # source column of the access node
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,8 @@ class RegionSummary:
     accesses: Tuple[RegionAccess, ...]
     analyzable: bool
     reasons: Tuple[str, ...] = ()
+    fndef: Optional[ast.FunctionDef] = field(default=None, compare=False,
+                                              repr=False)
 
 
 # --------------------------------------------------------------------------
@@ -154,19 +165,25 @@ class _Dim3Val:
 
 
 class _MaskVal:
-    """A parsed guard mask: per-name inclusive-lo / exclusive-hi bounds."""
+    """A parsed guard mask: per-name inclusive-lo / exclusive-hi bounds.
 
-    __slots__ = ("bounds",)
+    ``exact`` holds when every conjunct parsed, i.e. the bounds are the
+    whole predicate rather than a widening of it.
+    """
+
+    __slots__ = ("bounds", "exact")
 
     def __init__(self, bounds: Dict[str, List[Tuple[Optional[SymExpr],
-                                                    Optional[SymExpr]]]]):
+                                                    Optional[SymExpr]]]],
+                 exact: bool = True):
         self.bounds = bounds
+        self.exact = exact
 
     def merged(self, other: "_MaskVal") -> "_MaskVal":
         out: Dict[str, List] = {k: list(v) for k, v in self.bounds.items()}
         for name, pairs in other.bounds.items():
             out.setdefault(name, []).extend(pairs)
-        return _MaskVal(out)
+        return _MaskVal(out, self.exact and other.exact)
 
     def key(self) -> Tuple:
         return tuple(sorted(
@@ -174,6 +191,31 @@ class _MaskVal:
                           None if hi is None else hi.key())
                          for lo, hi in pairs))
             for name, pairs in self.bounds.items()))
+
+
+class _Compressed(Clamp):
+    """A ``compress_lanes`` clamp by an exact mask over the compressed names.
+
+    The surviving lanes are exactly those inside the bounds, so the value
+    takes every integer of its interval — what :class:`LaneDim` needs.
+    Other clamps (inexact masks, branch guards, loops) stay plain
+    :class:`Clamp` nodes.
+    """
+
+    __slots__ = ()
+
+
+def _global_axis(expr: SymExpr) -> Optional[str]:
+    """Axis ``A`` of ``thread_idx.A + block_idx.A * block_dim.A``, any order."""
+    if isinstance(expr, Add):
+        for lane, mul in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(lane, Var) and lane.name.startswith("thread_idx.") \
+                    and isinstance(mul, Mul):
+                axis = lane.name[-1]
+                if {mul.left, mul.right} == {Var(f"block_idx.{axis}"),
+                                             Var(f"block_dim.{axis}")}:
+                    return axis
+    return None
 
 
 def _expr_vars(expr: SymExpr, out: List[str]) -> None:
@@ -275,9 +317,10 @@ class _RegionInterp:
         return val
 
     # ----------------------------------------------------- access recording
-    def _record(self, param: str, kind: str, index_node, line: int,
+    def _record(self, param: str, kind: str, index_node, at,
                 extra_mask: Optional[_MaskVal] = None,
                 force_guarded: bool = False) -> None:
+        """Record an access whose index is *index_node*, sited at node *at*."""
         pos = self.param_pos[param]
         if extra_mask is not None:
             self.mask_stack.append(extra_mask)
@@ -302,9 +345,9 @@ class _RegionInterp:
         if exprs is not None:
             exact = all(_endpoint_exact(e) for e in exprs)
         self.accesses.append(RegionAccess(
-            param=param, index=pos, kind=kind, line=line,
+            param=param, index=pos, kind=kind, line=at.lineno,
             exprs=None if exprs is None else tuple(exprs),
-            guarded=guarded, exact=exact))
+            guarded=guarded, exact=exact, col=at.col_offset))
 
     def _record_top(self, param: str, kind: str, line: int) -> None:
         self.accesses.append(RegionAccess(
@@ -318,15 +361,15 @@ class _RegionInterp:
             return None
         op = node.ops[0]
         left, right = node.left, node.comparators[0]
-        name_side, expr_side, flipped = None, None, False
-        if isinstance(left, ast.Name) and isinstance(self.env.get(left.id),
-                                                     SymExpr):
-            name_side, expr_side = left.id, right
-        elif isinstance(right, ast.Name) and \
-                isinstance(self.env.get(right.id), SymExpr):
-            name_side, expr_side, flipped = right.id, left, True
-        else:
+        names = [side for side in (left, right) if isinstance(side, ast.Name)
+                 and isinstance(self.env.get(side.id), SymExpr)]
+        if not names:
             return None
+        # bound the lane index when both sides are names (``n > i``)
+        side = next((n for n in names if _has_lane_vars(self.env[n.id])),
+                    names[0])
+        flipped = side is right
+        name_side, expr_side = side.id, (left if flipped else right)
         bound = self._eval(expr_side)
         if not isinstance(bound, SymExpr):
             return None
@@ -366,21 +409,19 @@ class _RegionInterp:
             val = self.env.get(node.id)
             return val if isinstance(val, _MaskVal) else None
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-            a = self._parse_mask(node.left)
-            b = self._parse_mask(node.right)
-            if a is None:
-                return b
-            return a if b is None else a.merged(b)
-        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
-            masks = [m for m in (self._parse_mask(v) for v in node.values)
-                     if m is not None]
-            if not masks:
-                return None
-            out = masks[0]
-            for m in masks[1:]:
-                out = out.merged(m)
-            return out
-        return None
+            conjuncts = [node.left, node.right]
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+            conjuncts = node.values
+        else:
+            return None
+        masks = [self._parse_mask(v) for v in conjuncts]
+        parsed = [m for m in masks if m is not None]
+        if not parsed:
+            return None
+        out = _MaskVal({}, len(parsed) == len(masks))
+        for m in parsed:
+            out = out.merged(m)
+        return out
 
     # -------------------------------------------------- expression eval
     def _eval(self, node) -> object:
@@ -446,7 +487,7 @@ class _RegionInterp:
         if isinstance(node, ast.Subscript):
             param = self._param_of(node.value)
             if param is not None:
-                self._record(param, "r", node.slice, node.lineno)
+                self._record(param, "r", node.slice, node)
             else:
                 self._eval(node.value)
                 self._eval(node.slice)
@@ -509,7 +550,7 @@ class _RegionInterp:
             param = self._param_of(args[0])
             mask = self._parse_mask(args[2])
             if param is not None:
-                self._record(param, "r", args[1], node.lineno,
+                self._record(param, "r", args[1], node,
                              extra_mask=mask, force_guarded=True)
             else:
                 self._eval(args[0])
@@ -522,7 +563,7 @@ class _RegionInterp:
             mask = self._parse_mask(args[3])
             self._eval(args[2])
             if param is not None:
-                self._record(param, "w", args[1], node.lineno,
+                self._record(param, "w", args[1], node,
                              extra_mask=mask, force_guarded=True)
             else:
                 self._eval(args[0])
@@ -534,8 +575,8 @@ class _RegionInterp:
                 self._eval(a)
             if param is not None:
                 # read-modify-write on the same cell
-                self._record(param, "r", args[1], node.lineno)
-                self._record(param, "w", args[1], node.lineno)
+                self._record(param, "r", args[1], node)
+                self._record(param, "w", args[1], node)
             else:
                 self._eval(args[0])
                 self._eval(args[1])
@@ -608,21 +649,29 @@ class _RegionInterp:
                 if value_node.args else None
             vals = value_node.args[1:]
             if len(vals) == 1:
-                self.env[name] = self._clamped(vals[0], mask)
+                self.env[name] = self._clamped(vals[0], mask, vals)
                 return
         val = self._eval(value_node)
         self.env[name] = val if isinstance(val, (SymExpr, _MaskVal,
                                                  _Dim3Val)) else _OPAQUE
 
-    def _clamped(self, node, mask: Optional[_MaskVal]) -> object:
-        """Value of *node* permanently narrowed by *mask* (compress_lanes)."""
+    def _clamped(self, node, mask: Optional[_MaskVal], operands) -> object:
+        """Value of *node* permanently narrowed by *mask* (compress_lanes).
+
+        The clamps are :class:`_Compressed` when *mask* parsed completely
+        and bounds only the compressed *operands*; otherwise the result is
+        wrapped in an unbounded plain clamp, so it never reads as lane
+        exact (the lanes an unparsed conjunct drops are unknown).
+        """
         val = self._eval(node)
         if not isinstance(val, SymExpr):
             return _OPAQUE
+        names = {a.id for a in operands if isinstance(a, ast.Name)}
+        exact = mask is not None and mask.exact and set(mask.bounds) <= names
         if mask is not None and isinstance(node, ast.Name):
             for lo, hi in mask.bounds.get(node.id, ()):
-                val = Clamp(val, lo, hi)
-        return val
+                val = (_Compressed if exact else Clamp)(val, lo, hi)
+        return val if exact else Clamp(val, None, None)
 
     def _stmt_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) == 1:
@@ -636,8 +685,9 @@ class _RegionInterp:
                         self._callee(node.value) == "compress_lanes" and \
                         len(node.value.args) == len(target.elts) + 1:
                     mask = self._parse_mask(node.value.args[0])
-                    for tgt, val in zip(target.elts, node.value.args[1:]):
-                        self.env[tgt.id] = self._clamped(val, mask)
+                    vals = node.value.args[1:]
+                    for tgt, val in zip(target.elts, vals):
+                        self.env[tgt.id] = self._clamped(val, mask, vals)
                     return
                 if isinstance(node.value, ast.Tuple) and \
                         len(node.value.elts) == len(target.elts):
@@ -654,7 +704,7 @@ class _RegionInterp:
                 param = self._param_of(target.value)
                 self._eval(node.value)
                 if param is not None:
-                    self._record(param, "w", target.slice, target.lineno)
+                    self._record(param, "w", target.slice, target)
                 else:
                     self._eval(target.value)
                     self._eval(target.slice)
@@ -691,8 +741,8 @@ class _RegionInterp:
         if isinstance(node.target, ast.Subscript):
             param = self._param_of(node.target.value)
             if param is not None:
-                self._record(param, "r", node.target.slice, node.lineno)
-                self._record(param, "w", node.target.slice, node.lineno)
+                self._record(param, "r", node.target.slice, node.target)
+                self._record(param, "w", node.target.slice, node.target)
             else:
                 self._eval(node.target.value)
                 self._eval(node.target.slice)
@@ -915,7 +965,7 @@ def _build_summary(fn, name: str) -> RegionSummary:
                              analyzable=False, reasons=("body too deep",))
     return RegionSummary(kernel=name, source=source_file, params=params,
                          accesses=tuple(interp.accesses), analyzable=True,
-                         reasons=tuple(interp.reasons))
+                         reasons=tuple(interp.reasons), fndef=fndef)
 
 
 # --------------------------------------------------------------------------
@@ -959,8 +1009,29 @@ class OOBFinding:
 
 
 @dataclass(frozen=True)
+class LaneDim:
+    """One subscript dimension driven by a launch axis's global lane index.
+
+    The lanes alive at the access hold every coordinate ``g`` of *axis*
+    with ``lo <= g < hi`` (the launch extent narrowed by ``compress_lanes``
+    clamps whose masks parsed completely) and index ``g + offset``: the
+    dimension touches exactly ``[lo + offset, hi + offset)``.
+    """
+
+    axis: str
+    lo: int
+    hi: int
+    offset: int
+
+
+@dataclass(frozen=True)
 class LaunchRegions:
-    """Concretized regions of one ``(kernel, launch, shapes)`` triple."""
+    """Concretized regions of one ``(kernel, launch, shapes)`` triple.
+
+    ``lanes`` maps an access site ``(line, col, kind)`` to its per-dimension
+    :class:`LaneDim` tuple when every dimension is lane exact; other sites
+    are absent.  Fused kernels carry it per part only.
+    """
 
     kernel: str
     source: str
@@ -970,25 +1041,22 @@ class LaunchRegions:
     unproven_lines: frozenset
     read_bytes: float
     write_bytes: float
+    lanes: Dict[Tuple[int, int, str], Tuple[LaneDim, ...]] = field(
+        default_factory=dict, compare=False)
 
     def by_index(self) -> Dict[int, ArgRegion]:
         return {r.index: r for r in self.regions}
+
+
+_SCALARS = (bool, int, float, np.bool_, np.integer, np.floating)
 
 
 def _arg_key(arg) -> Tuple:
     shape = _arg_shape(arg)
     if shape is not None:
         return ("T", shape, _arg_elem_bytes(arg))
-    if isinstance(arg, (bool,)):
+    if isinstance(arg, _SCALARS):
         return ("S", float(arg))
-    if isinstance(arg, (int, float)):
-        return ("S", float(arg))
-    try:
-        import numpy as _np
-        if isinstance(arg, _np.generic):
-            return ("S", float(arg))
-    except Exception:  # pragma: no cover - numpy always present
-        pass
     return ("O",)
 
 
@@ -1068,21 +1136,12 @@ def _concretize_fused(kern, parts, args, launch) -> Optional[LaunchRegions]:
         for region in lr.regions:
             pos = idxs[region.index]
             prev = merged.get(pos)
-            if prev is None:
-                merged[pos] = ArgRegion(
-                    index=pos, param=region.param, shape=region.shape,
-                    elem_bytes=region.elem_bytes, reads=region.reads,
-                    writes=region.writes, exact=region.exact,
-                    access_key=region.access_key)
-            else:
-                merged[pos] = ArgRegion(
-                    index=pos, param=prev.param, shape=prev.shape,
-                    elem_bytes=prev.elem_bytes,
-                    reads=prev.reads + region.reads,
-                    writes=prev.writes + region.writes,
-                    exact=prev.exact and region.exact
-                    and prev.shape == region.shape,
-                    access_key=prev.access_key + region.access_key)
+            merged[pos] = replace(region, index=pos) if prev is None else \
+                replace(prev, reads=prev.reads + region.reads,
+                        writes=prev.writes + region.writes,
+                        exact=prev.exact and region.exact
+                        and prev.shape == region.shape,
+                        access_key=prev.access_key + region.access_key)
     return LaunchRegions(
         kernel=name, source=source,
         regions=tuple(merged[i] for i in sorted(merged)),
@@ -1104,17 +1163,8 @@ def _concretize_summary(summary: RegionSummary, args,
         if shape is not None:
             shapes[i] = shape
             elems[i] = _arg_elem_bytes(arg)
-        elif isinstance(arg, (bool, int, float)):
-            v = float(arg)
-            env[pname] = Interval(v, v)
-        else:
-            try:
-                import numpy as _np
-                if isinstance(arg, _np.generic):
-                    v = float(arg)
-                    env[pname] = Interval(v, v)
-            except Exception:  # pragma: no cover
-                pass
+        elif isinstance(arg, _SCALARS):
+            env[pname] = Interval(float(arg), float(arg))
 
     reads: Dict[int, List[Box]] = {}
     writes: Dict[int, List[Box]] = {}
@@ -1125,9 +1175,13 @@ def _concretize_summary(summary: RegionSummary, args,
     unproven: Set = set()
     rb = wb = 0.0
 
+    lanes: Dict[Tuple[int, int, str], Tuple[LaneDim, ...]] = {}
     for acc in summary.accesses:
         if acc.index >= len(args):
             continue
+        dims = [_lane_dim(e, env) for e in acc.exprs or ()]
+        if dims and None not in dims:
+            lanes[(acc.line, acc.col, acc.kind)] = tuple(dims)
         shape = shapes.get(acc.index)
         if shape is None:
             continue                   # scalar param subscripts: impossible
@@ -1197,7 +1251,38 @@ def _concretize_summary(summary: RegionSummary, args,
         regions=tuple(regions), oob=tuple(oob),
         proven_lines=frozenset(proven - unproven),
         unproven_lines=frozenset(unproven),
-        read_bytes=rb, write_bytes=wb)
+        read_bytes=rb, write_bytes=wb, lanes=lanes)
+
+
+def _int_point(expr: Optional[SymExpr], env) -> Optional[int]:
+    """The integer *expr* evaluates to under *env*, if it is one."""
+    iv = None if expr is None else expr.interval(env)
+    if iv is None or not iv.point or not float(iv.lo).is_integer():
+        return None
+    return int(iv.lo)
+
+
+def _lane_dim(expr: SymExpr, env) -> Optional[LaneDim]:
+    """*expr* as ``global lane index + integer``, or None when inexact."""
+    offset: SymExpr = Const(0.0)
+    if isinstance(expr, (Add, Sub)) and not _has_lane_vars(expr.right):
+        expr, offset = expr.left, \
+            expr.right if isinstance(expr, Add) else Neg(expr.right)
+    elif isinstance(expr, Add) and not _has_lane_vars(expr.left):
+        expr, offset = expr.right, expr.left
+    core = expr
+    while isinstance(core, _Compressed):
+        if any(b is not None and _int_point(b, env) is None
+               for b in (core.lo, core.hi)):
+            return None
+        core = core.operand
+    axis = _global_axis(core)
+    off = _int_point(offset, env)
+    if axis is None or off is None:
+        return None
+    iv = expr.interval(env)
+    lo = int(iv.lo)
+    return LaneDim(axis, lo, max(int(iv.hi) + 1, lo), off)
 
 
 def _concrete_box(acc: RegionAccess, shape: Tuple[int, ...],

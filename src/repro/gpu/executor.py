@@ -18,7 +18,9 @@ its own ``thread_idx`` / ``block_idx``).  Three execution modes exist:
 ``sequential``
     Threads of a block run one after another in a plain Python loop.  Correct
     for any kernel that does not rely on intra-block synchronisation
-    (``barrier``) for data exchange through shared memory.  One mutable
+    (``barrier``) for data exchange through shared memory; a sequential
+    request for a kernel with barriers runs ``cooperative`` instead and the
+    result reports that mode.  One mutable
     :class:`~repro.core.intrinsics.ThreadState` is reused for every simulated
     thread (only ``thread_idx`` / ``block_idx`` are rebound), so the per-thread
     overhead is a single kernel-body call.
@@ -321,6 +323,10 @@ class KernelExecutor:
                 mode = "vectorized"
             else:
                 mode = "cooperative" if kernel_uses_barrier(kern) else "sequential"
+        if mode == "sequential" and kernel_uses_barrier(kern):
+            # one thread after another never meets a barrier: the block's
+            # threads must run together, so the scalar mode is the pool
+            mode = "cooperative"
         if mode not in ("sequential", "cooperative", "vectorized"):
             raise LaunchError(f"unknown execution mode {mode!r}")
         if mode == "cooperative" and launch.threads_per_block > self.MAX_COOPERATIVE_BLOCK:

@@ -5,10 +5,22 @@ the Python interpreter over whole lane sets, but every tensor subscript in
 the kernel body still pays a fancy-indexing gather/scatter through per-lane
 index arrays.  This module goes one step further, the way the paper's MLIR
 stack lowers its parametric kernels to target code: a vector-safe body whose
-lane indices are *affine* in the launch axes is rewritten — via AST analysis,
-not execution — into plain NumPy whole-array slicing, compiled with
-``exec`` into a synthetic module, and dispatched through the executor's
+lane indices are *affine* in the launch axes is rewritten — via static
+analysis, not execution — into plain NumPy whole-array slicing, compiled
+with ``exec`` into a synthetic module, and dispatched through the executor's
 ``mode="lowered"``.
+
+Lowering keeps no access analysis of its own.  It reads the facts from the
+region analysis that lint, racecheck and fusion share:
+:func:`~repro.analysis.regions.concretize_launch` reports, for every access
+site whose dimensions are each one launch axis's global lane index plus an
+integer, the exact lane range and offset per dimension
+(:class:`~repro.analysis.regions.LaneDim`) — after guard masks that parsed
+completely, ``compress_lanes`` clamps and scalar-argument values.  This
+module keeps the statement walk, the legality checks a slice rewrite needs
+on top of exact boxes (reads aligned lane for lane with the store, one
+launch axis per dimension, every populated launch axis covered), the NumPy
+source emission and the memo.
 
 The contract mirrors a real compiler's legality checking: lowering is a
 *best-effort specialisation*.  ``lower_launch`` returns a compiled entry
@@ -19,24 +31,22 @@ NumPy element operations, in the same order and dtype, that the lane
 interpreter would, so results are bit-identical; the property suite in
 ``tests/property`` holds the compiler to that).
 
-Supported body shape (the SIMT-generic idiom all four science kernels use):
+Supported body shape (the SIMT-generic idiom the memory-bound kernels use):
 
-* lane indices bound from affine intrinsics, e.g.
-  ``i = block_dim.x * block_idx.x + thread_idx.x`` (any operand order);
-* guard masks that are conjunctions of comparisons between a lane index and
-  a statically evaluable scalar expression, e.g.
+* call-free bindings of lane indices and guard masks, e.g.
+  ``i = block_dim.x * block_idx.x + thread_idx.x`` and
   ``interior = (i > 0) & (i < nx - 1) & ...``;
 * the ``if not any_lane(m): return`` early-exit idiom;
 * ``i = compress_lanes(m, i)`` / ``i, j, k = compress_lanes(m, i, j, k)``
   range tightening;
-* whole-tensor stores ``t[i, j, k] = expr`` whose indices are lane
-  variables with constant offsets (``u[i - 1, j, k]``) and whose right-hand
-  side is built from ``+ - * /``, scalar arguments, constants and aligned
-  tensor reads.
+* whole-tensor stores ``t[i, j, k] = expr`` whose every index is lane
+  exact (``u[i - 1, j, k]``) and whose right-hand side is built from
+  ``+ - * /``, scalar arguments, constants and aligned tensor reads.
 
 Everything else — ``while`` loops, ``barrier()``, shared memory, masked
-gathers, data-dependent indexing — raises :class:`LoweringUnsupported`
-internally and surfaces as a ``None`` entry (i.e. "keep interpreting").
+gathers, helper calls, data-dependent indexing — raises
+:class:`LoweringUnsupported` internally and surfaces as a ``None`` entry
+(i.e. "keep interpreting").
 
 Specialisation key: the generated source bakes slice *bounds* (derived from
 launch extents, scalar argument values and tensor shapes), so compiled
@@ -49,14 +59,13 @@ reuses the compiled module.
 from __future__ import annotations
 
 import ast
-import inspect
 import re
-import textwrap
 import types
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..analysis.regions import LaneDim, concretize_launch, kernel_regions
 from ..core.kernel import Kernel, LaunchConfig
 from ..core.layout import LayoutTensor
 from ..core.memo import Memo
@@ -69,36 +78,9 @@ class LoweringUnsupported(Exception):
     """The kernel body falls outside the lowerable subset (internal)."""
 
 
-#: intrinsic names whose attributes form affine lane-index expressions
-_AXIS_INTRINSICS = ("thread_idx", "block_idx", "block_dim")
-_AXES = ("x", "y", "z")
 #: scalar-argument references in generated source ("_s<combined index>")
 _SCALAR_TOKEN = re.compile(r"_s(\d+)")
-
-
-class _Axis:
-    """A lane-index variable along one launch axis, restricted to [lo, hi)."""
-
-    __slots__ = ("axis", "lo", "hi")
-
-    def __init__(self, axis: str, lo: int, hi: int):
-        self.axis = axis
-        self.lo = int(lo)
-        self.hi = int(hi)
-
-    def tightened(self, lo: Optional[int], hi: Optional[int]) -> "_Axis":
-        new_lo = self.lo if lo is None else max(self.lo, lo)
-        new_hi = self.hi if hi is None else min(self.hi, hi)
-        return _Axis(self.axis, new_lo, max(new_hi, new_lo))
-
-
-class _Mask:
-    """A guard mask: per-lane-variable half-open bounds."""
-
-    __slots__ = ("bounds",)
-
-    def __init__(self, bounds: Dict[str, Tuple[Optional[int], Optional[int]]]):
-        self.bounds = bounds
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 
 
 class _Tensor:
@@ -111,16 +93,6 @@ class _Tensor:
         self.shape = shape
 
 
-class _Scalar:
-    """A scalar argument: combined-arg index plus its captured value."""
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index: int, value):
-        self.index = index
-        self.value = value
-
-
 def _fail(reason: str) -> "LoweringUnsupported":
     return LoweringUnsupported(reason)
 
@@ -130,307 +102,140 @@ def _axis_extents(launch: LaunchConfig) -> Dict[str, int]:
     return {"x": bd.x * gd.x, "y": bd.y * gd.y, "z": bd.z * gd.z}
 
 
-# --------------------------------------------------------------------- match
-def _intrinsic_component(node) -> Optional[Tuple[str, str]]:
-    """``thread_idx.x`` -> ("thread_idx", "x"), else None."""
-    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
-            and node.value.id in _AXIS_INTRINSICS and node.attr in _AXES:
-        return node.value.id, node.attr
+def _callee(node) -> Optional[str]:
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        return node.func.id
     return None
 
 
-def _match_axis_expr(node) -> str:
-    """Match the global-linear-index idiom; returns the axis letter.
-
-    Accepts ``thread_idx.A + block_idx.A * block_dim.A`` with the addition
-    and the multiplication operands in either order.
-    """
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
-        raise _fail("lane index is not of the form thread_idx + block_idx*block_dim")
-    sides = (node.left, node.right)
-    thread = next((s for s in sides
-                   if (_intrinsic_component(s) or ("", ""))[0] == "thread_idx"),
-                  None)
-    mult = next((s for s in sides
-                 if isinstance(s, ast.BinOp) and isinstance(s.op, ast.Mult)),
-                None)
-    if thread is None or mult is None:
-        raise _fail("lane index is not of the form thread_idx + block_idx*block_dim")
-    axis = _intrinsic_component(thread)[1]
-    parts = {}
-    for s in (mult.left, mult.right):
-        comp = _intrinsic_component(s)
-        if comp is None:
-            raise _fail("lane-index multiplication has a non-intrinsic operand")
-        parts[comp[0]] = comp[1]
-    if set(parts) != {"block_idx", "block_dim"} \
-            or parts["block_idx"] != axis or parts["block_dim"] != axis:
-        raise _fail("lane-index terms mix launch axes")
-    return axis
-
-
-def _eval_static(node, env) -> float:
-    """Numerically evaluate a scalar expression from constants and scalar args."""
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return node.value
-    if isinstance(node, ast.Name):
-        sym = env.get(node.id)
-        if isinstance(sym, _Scalar):
-            return sym.value
-        raise _fail(f"name {node.id!r} is not a scalar argument")
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_eval_static(node.operand, env)
-    if isinstance(node, ast.BinOp):
-        left = _eval_static(node.left, env)
-        right = _eval_static(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.FloorDiv):
-            return left // right
-        if isinstance(node.op, ast.Div):
-            return left / right
-    raise _fail("bound expression is not statically evaluable")
-
-
-def _static_int(node, env) -> int:
-    value = _eval_static(node, env)
-    if int(value) != value:
-        raise _fail(f"bound expression evaluates to non-integer {value}")
-    return int(value)
-
-
-def _merge_bounds(into: Dict, frm: Dict) -> None:
-    for var, (lo, hi) in frm.items():
-        old_lo, old_hi = into.get(var, (None, None))
-        if lo is not None:
-            old_lo = lo if old_lo is None else max(old_lo, lo)
-        if hi is not None:
-            old_hi = hi if old_hi is None else min(old_hi, hi)
-        into[var] = (old_lo, old_hi)
-
-
-def _match_mask(node, env) -> _Mask:
-    """Match a conjunction of lane-variable comparisons into a :class:`_Mask`."""
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
-        bounds: Dict[str, Tuple[Optional[int], Optional[int]]] = {}
-        _merge_bounds(bounds, _match_mask(node.left, env).bounds)
-        _merge_bounds(bounds, _match_mask(node.right, env).bounds)
-        return _Mask(bounds)
-    if isinstance(node, ast.Compare) and len(node.ops) == 1:
-        op = node.ops[0]
-        left, right = node.left, node.comparators[0]
-        if isinstance(left, ast.Name) and isinstance(env.get(left.id), _Axis):
-            var, bound_node, flip = left.id, right, False
-        elif isinstance(right, ast.Name) \
-                and isinstance(env.get(right.id), _Axis):
-            var, bound_node, flip = right.id, left, True
-        else:
-            raise _fail("comparison does not involve a lane index")
-        bound = _static_int(bound_node, env)
-        if flip:  # "bound OP var" -> invert the operator direction
-            op = {ast.Lt: ast.Gt, ast.Gt: ast.Lt,
-                  ast.LtE: ast.GtE, ast.GtE: ast.LtE}.get(type(op), type(op))()
-        if isinstance(op, ast.Lt):
-            return _Mask({var: (None, bound)})
-        if isinstance(op, ast.LtE):
-            return _Mask({var: (None, bound + 1)})
-        if isinstance(op, ast.Gt):
-            return _Mask({var: (bound + 1, None)})
-        if isinstance(op, ast.GtE):
-            return _Mask({var: (bound, None)})
-        raise _fail("unsupported comparison operator in guard mask")
-    raise _fail("guard mask is not a conjunction of lane comparisons")
-
-
-def _is_guard_return(stmt, env) -> bool:
-    """Match ``if not any_lane(m): return`` (lowered slices are pre-masked)."""
+def _guard_mask(stmt) -> Optional[str]:
+    """The mask name of ``if not any_lane(m): return``, else None."""
     if not (isinstance(stmt, ast.If) and not stmt.orelse
             and len(stmt.body) == 1 and isinstance(stmt.body[0], ast.Return)
             and stmt.body[0].value is None):
-        return False
+        return None
     test = stmt.test
-    if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)):
-        return False
-    call = test.operand
-    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-            and call.func.id == "any_lane" and len(call.args) == 1
-            and isinstance(call.args[0], ast.Name)
-            and isinstance(env.get(call.args[0].id), _Mask))
+    if (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
+            and _callee(test.operand) == "any_lane"
+            and len(test.operand.args) == 1
+            and isinstance(test.operand.args[0], ast.Name)):
+        return test.operand.args[0].id
+    return None
 
 
-def _match_compress(stmt, env) -> Optional[Tuple[List[str], str]]:
-    """Match ``i[, j, k] = compress_lanes(m, i[, j, k])`` -> (vars, mask)."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-        return None
-    value = stmt.value
-    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-            and value.func.id == "compress_lanes"):
-        return None
-    target = stmt.targets[0]
-    if isinstance(target, ast.Name):
-        names = [target.id]
-    elif isinstance(target, ast.Tuple) \
-            and all(isinstance(e, ast.Name) for e in target.elts):
-        names = [e.id for e in target.elts]
-    else:
-        raise _fail("compress_lanes target is not a name tuple")
-    if len(value.args) != len(names) + 1:
-        raise _fail("compress_lanes arity does not match its targets")
-    mask_node, var_nodes = value.args[0], value.args[1:]
-    if not (isinstance(mask_node, ast.Name)
-            and isinstance(env.get(mask_node.id), _Mask)):
-        raise _fail("compress_lanes mask is not a known guard mask")
-    for name, node in zip(names, var_nodes):
-        if not (isinstance(node, ast.Name) and node.id == name
-                and isinstance(env.get(name), _Axis)):
-            raise _fail("compress_lanes operands must be the lane indices "
-                        "being reassigned")
-    return names, mask_node.id
+def _binding_call(value) -> Optional[ast.Call]:
+    """First call a binding makes, other than a top-level compress_lanes."""
+    nodes = list(ast.walk(value))
+    if _callee(value) == "compress_lanes":
+        nodes = nodes[1:]
+    return next((n for n in nodes if isinstance(n, ast.Call)), None)
 
 
-def _apply_compress(names: Sequence[str], mask_name: str, env) -> None:
-    mask: _Mask = env[mask_name]
-    if not set(mask.bounds) <= set(names):
-        raise _fail("guard mask constrains a lane index that is not "
-                    "being compressed")
-    axes = [env[n].axis for n in names]
-    if len(set(axes)) != len(axes):
-        raise _fail("compress_lanes operands share a launch axis")
-    for name in names:
-        lo, hi = mask.bounds.get(name, (None, None))
-        env[name] = env[name].tightened(lo, hi)
-
-
-# ------------------------------------------------------------------- codegen
-def _index_components(node, env) -> List[Tuple[str, int]]:
-    """Subscript index -> [(lane-var name, constant offset)] per dimension."""
-    elts = node.elts if isinstance(node, ast.Tuple) else [node]
-    comps: List[Tuple[str, int]] = []
-    for e in elts:
-        if isinstance(e, ast.Name):
-            name, off = e.id, 0
-        elif isinstance(e, ast.BinOp) and isinstance(e.left, ast.Name) \
-                and isinstance(e.op, (ast.Add, ast.Sub)):
-            name = e.left.id
-            off = _static_int(e.right, env)
-            if isinstance(e.op, ast.Sub):
-                off = -off
-        else:
-            raise _fail("tensor index is not lane-variable +/- constant")
-        if not isinstance(env.get(name), _Axis):
-            raise _fail(f"tensor index {name!r} is not a lane index")
-        comps.append((name, off))
-    return comps
-
-
-def _slices_for(comps: Sequence[Tuple[str, int]], shape: Tuple[int, ...],
-                env) -> str:
-    if len(comps) != len(shape):
-        raise _fail("tensor subscript rank does not match its shape")
-    parts = []
-    for (name, off), extent in zip(comps, shape):
-        var: _Axis = env[name]
-        lo, hi = var.lo + off, var.hi + off
-        if lo < 0 or hi > extent:
-            raise _fail(f"slice [{lo}:{hi}] escapes tensor extent {extent}")
-        parts.append(f"{lo}:{hi}")
-    return ", ".join(parts)
+def _slices(dims: Sequence[LaneDim]) -> str:
+    return ", ".join(f"{d.lo + d.offset}:{d.hi + d.offset}" for d in dims)
 
 
 class _BodyLowerer:
     """Lower one kernel body's statements into NumPy-slice source lines."""
 
-    def __init__(self, env: Dict[str, object], extents: Dict[str, int],
-                 tensors: Dict[int, _Tensor]):
-        self.env = env
+    def __init__(self, params: Dict[str, Union[_Tensor, int]],
+                 lanes: Dict[Tuple[int, int, str], Tuple[LaneDim, ...]],
+                 extents: Dict[str, int]):
+        self.params = params          # scalars map to their argument index
+        self.lanes = lanes
         self.extents = extents
-        self.tensors = tensors
+        self.bound: Set[str] = set()  # names the body binds itself
         self.lines: List[str] = []
 
+    def _dims(self, node: ast.Subscript, tensor: _Tensor,
+              kind: str) -> Tuple[LaneDim, ...]:
+        """The lane-exact box of one access site, checked against *tensor*."""
+        dims = self.lanes.get((node.lineno, node.col_offset, kind))
+        if dims is None:
+            raise _fail("tensor index is not lane-variable +/- constant")
+        if len(dims) != len(tensor.shape):
+            raise _fail("tensor subscript rank does not match its shape")
+        for d, extent in zip(dims, tensor.shape):
+            lo, hi = d.lo + d.offset, d.hi + d.offset
+            if lo < 0 or hi > extent:
+                raise _fail(f"slice [{lo}:{hi}] escapes tensor extent "
+                            f"{extent}")
+        return dims
+
     # ------------------------------------------------------------ expression
-    def _emit_expr(self, node, lhs_comps, lhs_index: int,
+    def _emit_expr(self, node, store: Tuple[LaneDim, ...], lhs_index: int,
                    reads_lhs: List[bool]) -> str:
-        env = self.env
         if isinstance(node, ast.Constant) \
                 and isinstance(node.value, (int, float)):
             return repr(node.value)
         if isinstance(node, ast.Name):
-            sym = env.get(node.id)
-            if isinstance(sym, _Scalar):
-                return f"_s{sym.index}"
+            sym = self.params.get(node.id)
+            if isinstance(sym, int):
+                return f"_s{sym}"
             raise _fail(f"unsupported value {node.id!r} in expression")
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return f"(-{self._emit_expr(node.operand, lhs_comps, lhs_index, reads_lhs)})"
+            return f"(-{self._emit_expr(node.operand, store, lhs_index, reads_lhs)})"
         if isinstance(node, ast.BinOp):
-            ops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
-            sym = ops.get(type(node.op))
+            sym = _OPERATORS.get(type(node.op))
             if sym is None:
                 raise _fail("unsupported arithmetic operator")
-            left = self._emit_expr(node.left, lhs_comps, lhs_index, reads_lhs)
-            right = self._emit_expr(node.right, lhs_comps, lhs_index, reads_lhs)
+            left = self._emit_expr(node.left, store, lhs_index, reads_lhs)
+            right = self._emit_expr(node.right, store, lhs_index, reads_lhs)
             return f"({left} {sym} {right})"
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
-            tensor = env.get(node.value.id)
+            tensor = self.params.get(node.value.id)
             if not isinstance(tensor, _Tensor):
                 raise _fail(f"subscript of non-tensor {node.value.id!r}")
-            comps = _index_components(node.slice, env)
+            dims = self._dims(node, tensor, "r")
             # Alignment: a read must enumerate lanes exactly as the store
             # does, else the slice views would pair the wrong elements.
-            if [c[0] for c in comps] != [c[0] for c in lhs_comps]:
+            if [(d.axis, d.lo, d.hi) for d in dims] != \
+                    [(d.axis, d.lo, d.hi) for d in store]:
                 raise _fail("tensor read indices are not aligned with the "
                             "store indices")
             if tensor.index == lhs_index:
                 reads_lhs[0] = True
-            return f"_d{tensor.index}[{_slices_for(comps, tensor.shape, env)}]"
+            return f"_d{tensor.index}[{_slices(dims)}]"
         raise _fail("unsupported expression in kernel body")
 
     # ------------------------------------------------------------- statement
     def lower_statements(self, body: Sequence[ast.stmt]) -> None:
-        env = self.env
         for stmt in body:
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant) \
                     and isinstance(stmt.value.value, str):
                 continue  # docstring
-            if _is_guard_return(stmt, env):
+            if _guard_mask(stmt) in self.bound:
                 continue  # empty lane sets produce empty slices: a no-op
             if isinstance(stmt, ast.Return) and stmt.value is None:
                 break
-            compress = _match_compress(stmt, env) \
-                if isinstance(stmt, ast.Assign) else None
-            if compress is not None:
-                _apply_compress(compress[0], compress[1], env)
-                continue
             if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
                 raise _fail(f"unsupported statement {ast.dump(stmt)[:60]}")
             target = stmt.targets[0]
-            if isinstance(target, ast.Name):
-                self._lower_binding(target.id, stmt.value)
-            elif isinstance(target, ast.Subscript) \
+            if isinstance(target, ast.Subscript) \
                     and isinstance(target.value, ast.Name):
                 self._lower_store(target, stmt.value)
-            else:
+                continue
+            names = target.elts if isinstance(target, ast.Tuple) else [target]
+            if not all(isinstance(n, ast.Name) for n in names):
                 raise _fail("unsupported assignment target")
-
-    def _lower_binding(self, name: str, value) -> None:
-        env = self.env
-        try:
-            axis = _match_axis_expr(value)
-        except LoweringUnsupported:
-            env[name] = _match_mask(value, env)
-            return
-        env[name] = _Axis(axis, 0, self.extents[axis])
+            # A binding emits no code: the region analysis interprets lane
+            # indices, masks and compress_lanes clamps, so it only has to be
+            # free of side effects.  A rebound name no longer is its argument.
+            call = _binding_call(stmt.value)
+            if call is not None:
+                bound = ", ".join(n.id for n in names)
+                raise _fail(f"unsupported call {ast.unparse(call.func)}() in "
+                            f"the binding of {bound!r}")
+            for n in names:
+                self.params.pop(n.id, None)
+                self.bound.add(n.id)
 
     def _lower_store(self, target: ast.Subscript, value) -> None:
-        env = self.env
-        tensor = env.get(target.value.id)
+        tensor = self.params.get(target.value.id)
         if not isinstance(tensor, _Tensor):
             raise _fail(f"store into non-tensor {target.value.id!r}")
-        comps = _index_components(target.slice, env)
-        axes = [env[name].axis for name, _ in comps]
+        dims = self._dims(target, tensor, "w")
+        axes = [d.axis for d in dims]
         if len(set(axes)) != len(axes):
             raise _fail("store uses one launch axis for two dimensions")
         # Every populated launch axis must drive a store dimension, or two
@@ -438,15 +243,14 @@ class _BodyLowerer:
         live_axes = {a for a, n in self.extents.items() if n > 1}
         if not live_axes <= set(axes):
             raise _fail("store does not cover every populated launch axis")
-        slices = _slices_for(comps, tensor.shape, env)
         reads_lhs = [False]
-        rhs = self._emit_expr(value, comps, tensor.index, reads_lhs)
+        rhs = self._emit_expr(value, dims, tensor.index, reads_lhs)
         if reads_lhs[0]:
             # The store target appears on its right-hand side: materialise
             # the RHS first, as the lane interpreter's gather does, so an
             # overlapping slice copy cannot read half-written data.
             rhs = f"({rhs}).copy()"
-        self.lines.append(f"_d{tensor.index}[{slices}] = {rhs}")
+        self.lines.append(f"_d{tensor.index}[{_slices(dims)}] = {rhs}")
 
 
 # ------------------------------------------------------------------ assembly
@@ -462,36 +266,31 @@ def _arg_signature(args: Sequence) -> Tuple:
     return tuple(sig)
 
 
-def _bind_params(fn, args: Sequence, indices: Sequence[int],
-                 tensors: Dict[int, _Tensor]) -> Tuple[Dict, ast.FunctionDef]:
-    """Parse *fn* and bind its parameters to combined-arg symbols."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError):
+def _lower_part(fn, args: Sequence, indices: Sequence[int],
+                launch: LaunchConfig, tensors: Dict[int, _Tensor]) -> List[str]:
+    """Source lines of one kernel body, its parameters bound to *indices*."""
+    summary = kernel_regions(fn)
+    fdef = summary.fndef
+    if not summary.analyzable or fdef is None:
         raise _fail("kernel source is unavailable")
-    tree = ast.parse(source)
-    fdef = tree.body[0]
-    if not isinstance(fdef, ast.FunctionDef):
-        raise _fail("kernel source does not start with a function definition")
-    params = [p.arg for p in fdef.args.args]
-    if len(params) != len(indices) or fdef.args.vararg or fdef.args.kwarg \
-            or fdef.args.kwonlyargs:
+    if len(summary.params) != len(indices) or fdef.args.vararg \
+            or fdef.args.kwarg or fdef.args.kwonlyargs:
         raise _fail("kernel signature does not match its captured arguments")
-    env: Dict[str, object] = {}
-    for pname, idx in zip(params, indices):
+    params: Dict[str, Union[_Tensor, int]] = {}
+    for pname, idx in zip(summary.params, indices):
         a = args[idx]
         if isinstance(a, LayoutTensor):
             if a.layout.order != "row_major" or not a.layout.is_contiguous:
                 raise _fail(f"tensor {pname!r} is not row-major contiguous")
-            sym = tensors.get(idx)
-            if sym is None:
-                sym = tensors[idx] = _Tensor(idx, a.shape)
-            env[pname] = sym
-        elif isinstance(a, (int, float, np.integer, np.floating)):
-            env[pname] = _Scalar(idx, a)
+            params[pname] = tensors.setdefault(idx, _Tensor(idx, a.shape))
         else:
-            raise _fail(f"unsupported argument type {type(a).__name__}")
-    return env, fdef
+            params[pname] = idx
+    regions = concretize_launch(fn, [args[i] for i in indices], launch)
+    lowerer = _BodyLowerer(params, regions.lanes, _axis_extents(launch))
+    lowerer.lower_statements(fdef.body)
+    if not lowerer.lines:
+        raise _fail("kernel body lowered to no stores")
+    return lowerer.lines
 
 
 def _fused_parts(kern) -> Optional[Tuple]:
@@ -501,7 +300,6 @@ def _fused_parts(kern) -> Optional[Tuple]:
 
 def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
     """Build (entry, source) for a launch; raises LoweringUnsupported."""
-    extents = _axis_extents(launch)
     parts = _fused_parts(kern)
     if parts is None:
         fn = kern.fn if isinstance(kern, Kernel) else kern
@@ -510,12 +308,7 @@ def _generate(kern, args: Sequence, launch: LaunchConfig) -> Tuple[object, str]:
     body_lines: List[str] = []
     for fn, indices in parts:
         fn = fn.fn if isinstance(fn, Kernel) else fn
-        env, fdef = _bind_params(fn, args, indices, tensors)
-        lowerer = _BodyLowerer(env, extents, tensors)
-        lowerer.lower_statements(fdef.body)
-        if not lowerer.lines:
-            raise _fail("kernel body lowered to no stores")
-        body_lines.extend(lowerer.lines)
+        body_lines.extend(_lower_part(fn, args, indices, launch, tensors))
 
     name = kern.name if isinstance(kern, Kernel) else \
         getattr(kern, "__name__", "kernel")

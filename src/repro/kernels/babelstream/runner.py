@@ -126,12 +126,9 @@ def run_babelstream_functional(
                              stream=compute)
         dot_sums.fill(0.0, stream=compute)
         dot_tensor = dot_sums.tensor()
-        # Dot needs its barriers honoured: a "sequential" opt-out means
-        # "scalar", which for a barrier kernel is the cooperative pool.
-        dot_mode = "cooperative" if executor == "sequential" else executor
         ctx.enqueue_function(dot_kernel, a, b, dot_tensor, n, tb_size,
                              grid_dim=dot_launch.grid_dim,
-                             block_dim=dot_launch.block_dim, mode=dot_mode,
+                             block_dim=dot_launch.block_dim, mode=executor,
                              model=op_model("dot", n / dot_launch.total_threads),
                              stream=compute)
         ctx.synchronize()

@@ -22,6 +22,7 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
+from scipy.special import erf as _erf
 
 __all__ = ["boys_f0", "boys_f0_array", "contracted_eri", "contracted_eri_batch",
            "pair_schwarz", "schwarz_identical_basis", "TWO_PI_POW_2_5"]
@@ -35,16 +36,16 @@ _F0_SMALL = 1e-12
 def boys_f0(t: float) -> float:
     """Zeroth-order Boys function ``F0(t)``.
 
-    Scalar arguments use the ``math``-library evaluation; per-lane arrays
-    (the vectorized executor) dispatch to :func:`boys_f0_array`, so one
-    kernel body serves both execution regimes.
+    Per-lane arrays (the vectorized executor) dispatch to
+    :func:`boys_f0_array`, so one kernel body serves both execution
+    regimes.  Scalars use the same SciPy ``erf`` and the same operation
+    order, so ``boys_f0(t) == boys_f0_array(t)`` bit for bit.
     """
     if isinstance(t, np.ndarray):
         return boys_f0_array(t)
     if t < _F0_SMALL:
         return 1.0 - t / 3.0
-    st = math.sqrt(t)
-    return 0.5 * math.sqrt(math.pi / t) * math.erf(st)
+    return float(0.5 * math.sqrt(math.pi / t) * _erf(math.sqrt(t)))
 
 
 def boys_f0_array(t: np.ndarray) -> np.ndarray:
@@ -55,28 +56,6 @@ def boys_f0_array(t: np.ndarray) -> np.ndarray:
         large = 0.5 * np.sqrt(np.pi / t_safe) * _erf(np.sqrt(t_safe))
     small = 1.0 - t / 3.0
     return np.where(t < _F0_SMALL, small, large)
-
-
-try:  # SciPy gives the exact vectorised erf; fall back to a rational fit.
-    from scipy.special import erf as _scipy_erf
-except ImportError:  # pragma: no cover - exercised only without SciPy
-    _scipy_erf = None
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Vectorised error function (SciPy when available).
-
-    The fallback is the Abramowitz & Stegun 7.1.26 rational approximation
-    (absolute error below 1.5e-7), sufficient for Schwarz screening.
-    """
-    if _scipy_erf is not None:
-        return _scipy_erf(x)
-    sign = np.sign(x)
-    ax = np.abs(x)
-    t = 1.0 / (1.0 + 0.3275911 * ax)
-    poly = t * (0.254829592 + t * (-0.284496736 + t * (1.421413741 +
-               t * (-1.453152027 + t * 1.061405429))))
-    return sign * (1.0 - poly * np.exp(-ax * ax))
 
 
 def contracted_eri(
@@ -200,32 +179,13 @@ def pair_schwarz(positions: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray,
         keep = int(np.argmax(np.abs(coef)))
         xpnt = xpnt[keep:keep + 1]
         coef = coef[keep:keep + 1]
-    ngauss = len(xpnt)
 
     out = np.empty(len(pair_i), dtype=np.float64)
     for start in range(0, len(pair_i), chunk):
-        stop = min(start + chunk, len(pair_i))
-        a_pos = positions[pair_i[start:stop]]
-        b_pos = positions[pair_j[start:stop]]
-        rab2 = np.einsum("ij,ij->i", a_pos - b_pos, a_pos - b_pos)
-
-        eri = np.zeros(stop - start, dtype=np.float64)
-        for ib in range(ngauss):
-            for jb in range(ngauss):
-                aij = xpnt[ib] + xpnt[jb]
-                dij = coef[ib] * coef[jb] * np.exp(-xpnt[ib] * xpnt[jb] / aij * rab2)
-                pij = (xpnt[ib] * a_pos + xpnt[jb] * b_pos) / aij
-                for kb in range(ngauss):
-                    for lb in range(ngauss):
-                        akl = xpnt[kb] + xpnt[lb]
-                        dkl = coef[kb] * coef[lb] * np.exp(
-                            -xpnt[kb] * xpnt[lb] / akl * rab2)
-                        pkl = (xpnt[kb] * a_pos + xpnt[lb] * b_pos) / akl
-                        rpq2 = np.einsum("ij,ij->i", pij - pkl, pij - pkl)
-                        aijkl = aij * akl / (aij + akl)
-                        prefac = TWO_PI_POW_2_5 / (aij * akl * np.sqrt(aij + akl))
-                        eri += dij * dkl * prefac * boys_f0_array(aijkl * rpq2)
-        out[start:stop] = np.sqrt(np.maximum(eri, 0.0))
+        a_pos = positions[pair_i[start:start + chunk]]
+        b_pos = positions[pair_j[start:start + chunk]]
+        eri = contracted_eri_batch(a_pos, b_pos, a_pos, b_pos, xpnt, coef)
+        out[start:start + chunk] = np.sqrt(np.maximum(eri, 0.0))
     return out
 
 

@@ -88,8 +88,12 @@ def hartree_fock_kernel(ngauss, natoms, nquads, schwarz, schwarz_tol,
     Vector-safe form: the launch-tail and Schwarz-screening early exits are
     staged ``any_lane``/``compress_lanes`` guards (surviving lanes carry on),
     the symmetry weights are per-lane selects, and the six Fock updates use
-    the lane-vector atomic form (``np.add.at`` semantics — identical
-    ascending-lane accumulation order to the scalar executors).
+    the lane-vector atomic form (``np.add.at`` semantics).  Each scatter
+    site accumulates in ascending lane order, but the six sites interleave
+    differently than one scalar thread after another, so the Fock matrix
+    differs from the sequential executor's in the last bits (up to 2.7e-15
+    at 5–6 atoms); under the cooperative pool the order, and so the
+    result, varies from run to run.
     """
     ijkl = block_idx.x * block_dim.x + thread_idx.x
     m = ijkl < nquads

@@ -9,9 +9,13 @@ recovery strategy:
 * **across steps**: when a step keeps failing, the run degrades along a
   deterministic ladder — first ``tune="off"`` (a corrupt or infeasible
   tuning-database winner must never kill a run the default geometry can
-  serve), then executor fallback ``vectorized → cooperative → sequential``
-  (the three modes are bit-identical by the PR 3 contract, so a degraded
-  result is still *the* result).
+  serve), then executor fallback ``vectorized → cooperative → sequential``.
+  Stencil, BabelStream and miniBUDE results are bit-identical across the
+  three modes.  Hartree–Fock's Fock matrix is not: it differs between
+  ``sequential`` and ``vectorized`` by up to 2.7e-15 at 5–6 atoms (the
+  atomic scatter sites interleave differently) and is nondeterministic
+  under ``cooperative``, so a degraded HF result agrees within the
+  verification tolerance, not bit for bit.
 
 Every result produced here carries a structured
 ``provenance["resilience"]`` record: how many attempts ran, whether and

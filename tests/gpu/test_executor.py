@@ -97,6 +97,26 @@ class TestCooperativeExecution:
                                          LaunchConfig.make(1, 8), mode="sequential")
         assert result.mode == "sequential"
 
+    def test_sequential_request_for_barrier_kernel_runs_cooperative(self):
+        # one thread after another never meets the BabelStream Dot
+        # barriers; a silent sequential run returned a wrong partial sum
+        from repro.core.device import DeviceContext
+        from repro.kernels.babelstream.kernels import dot_kernel
+
+        n, tb = 256, 64
+        ctx = DeviceContext("h100")
+        bufs = [ctx.enqueue_create_buffer(DType.float64, count, label=label)
+                for label, count in (("a", n), ("b", n), ("sums", n // tb))]
+        bufs[0].copy_from_host(np.linspace(0.0, 1.0, n))
+        bufs[1].copy_from_host(np.linspace(1.0, 2.0, n))
+        result = KernelExecutor().launch(
+            dot_kernel, tuple(b.tensor() for b in bufs) + (n, tb),
+            LaunchConfig.make(n // tb, tb), mode="sequential")
+        assert result.mode == "cooperative"
+        expected = float(np.dot(bufs[0].array, bufs[1].array))
+        assert float(bufs[2].array.sum()) == pytest.approx(expected,
+                                                           rel=1e-12)
+
     def test_kernel_error_is_surfaced(self):
         @kernel
         def bad_kernel(a):

@@ -122,6 +122,15 @@ class TestBoysFunction:
         np.testing.assert_allclose(boys_f0_array(ts),
                                    [boys_f0(t) for t in ts], rtol=1e-6)
 
+    def test_scalar_and_lane_values_are_bit_identical(self):
+        # the sequential executor's scalar Boys values and the vectorized
+        # executor's lane values share one erf and one operation order
+        ts = np.concatenate([[0.0, 1e-15, 1e-13, 9.99e-13, 1e-12],
+                             np.geomspace(1e-11, 1e4, 400),
+                             [37.5, 1e6, 1e12]])
+        assert np.array_equal([boys_f0(float(t)) for t in ts],
+                              boys_f0_array(ts))
+
 
 class TestERI:
     def _system(self, natoms=2):
@@ -169,6 +178,19 @@ class TestERI:
                                               s.geometry[i], s.geometry[j],
                                               s.xpnt, s.coef))
             assert bounds[ij] == pytest.approx(direct, rel=1e-6)
+
+    def test_pair_schwarz_is_the_batched_eri_diagonal(self):
+        # chunk boundaries and the shared batched ERI leave the bounds bit
+        # for bit what one contracted_eri_batch call over all pairs gives
+        s = make_helium_system(9, 3, spacing=2.5)
+        pair_i, pair_j = triangular_pairs(9)
+        a, b = s.geometry[pair_i], s.geometry[pair_j]
+        direct = np.sqrt(np.maximum(
+            contracted_eri_batch(a, b, a, b, s.xpnt, s.coef), 0.0))
+        for chunk in (7, 65536):
+            assert np.array_equal(
+                pair_schwarz(s.geometry, pair_i, pair_j, s.xpnt, s.coef,
+                             chunk=chunk), direct)
 
     def test_interpolated_schwarz_matches_exact(self):
         s = make_helium_system(6, 3, spacing=2.5)

@@ -42,3 +42,13 @@ class TestSingleSourcedVersion:
             encoding="utf-8")
         match = re.search(r'^__version__ = "([^"]+)"$', init, re.M)
         assert match and match.group(1) == repro.__version__
+
+
+class TestDeclaredDependencies:
+    def test_numeric_runtime_imports_are_declared(self):
+        # CI installs what pyproject declares; the Hartree-Fock ERIs import
+        # scipy.special.erf unconditionally
+        project = _table("project")
+        for name in ("numpy", "scipy"):
+            assert re.search(rf'^dependencies\s*=.*"{name}[<>=~!]', project,
+                             re.M), name
